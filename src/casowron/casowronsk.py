@@ -41,13 +41,7 @@ def _point(family: FunctionFamily, value):
 def wronskian_matrix(family: FunctionFamily, x) -> ScalarMatrix:
     """Row i holds the i-th derivative of every member, evaluated at x."""
     xp = _point(family, x)
-    cols = [as_combo(m) for m in family.members]
-    n = family.size
-    rows = []
-    for i in range(n):
-        rows.append([c.evaluate(xp) for c in cols])
-        if i + 1 < n:
-            cols = [c.derivative() for c in cols]
+    rows = [[c.evaluate(xp) for c in row] for row in family.derivative_rows]
     return ScalarMatrix.from_rows(rows, family.field)
 
 

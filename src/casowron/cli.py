@@ -34,7 +34,7 @@ from .casowronsk import (
     CONSTANCY_TOL,
     casoratian,
     casoratian_delta_form,
-    delta_power,
+    difference_quotient,
     fit_convergence_order,
     ratio_sweep,
     scaled_casoratian,
@@ -54,7 +54,7 @@ from .functions import (
     Hyperbolic,
     Monomial,
     PolyFunction,
-    as_combo,
+    derivative_chain,
     member_polynomial,
     natural_log,
 )
@@ -619,13 +619,6 @@ def _cmd_proportionality(args, rep: Report) -> int:
     return EXIT_OK
 
 
-def _nth_derivative_value(member, n: int, x):
-    combo = as_combo(member)
-    for _ in range(n):
-        combo = combo.derivative()
-    return combo.evaluate(x)
-
-
 def _h_sequence(args, field: str) -> list:
     if field == EXACT:
         start = parse_exact_number(args.h_start, "--h-start")
@@ -655,8 +648,8 @@ def _cmd_limit_check(args, rep: Report) -> int:
     if args.mode == "derivative":
         n = args.order
         member = manifest.family.members[0]
-        target = _nth_derivative_value(member, n, x)
-        values = [delta_power(member, x, h, n) / h**n for h in hs]
+        target = derivative_chain(member, n + 1)[-1].evaluate(x)
+        values = [difference_quotient(member, x, h, n) for h in hs]
         rep.add("order-n", n)
     else:
         target = wronskian(manifest.family, x)

@@ -20,11 +20,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .errors import ArgumentError, DomainError, UnsupportedOperationError
 from .polynomial import Polynomial
-from .scalars import EXACT, FLOAT, binomial_poly, binomial_value, is_exact
+from .scalars import EXACT, FLOAT, binomial_value, is_exact
 
 PHASES_TRIG = ("cos", "sin")
 PHASES_HYP = ("cosh", "sinh")
@@ -137,11 +138,14 @@ class BinomExp(BasisFunction):
         return binomial_value(x, self.k) * self.a**x
 
     def derivative(self):
+        # d/dx binom(x,k) = sum_{j<k} (-1)^(k-1-j)/(k-j) * binom(x,j), from
+        # D = log(1 + Delta) and Delta binom(x,k) = binom(x,k-1).
+        k = self.k
         terms = [(cmath.log(self.a), self)]
-        # The derivative of binom(x,k) re-expanded in the binomial basis.
-        for j, c in enumerate(binomial_poly(self.k).derivative().to_binomial_basis()):
-            if c != 0:
-                terms.append((c, BinomExp(j, self.a)))
+        terms.extend(
+            (Fraction((-1) ** (k - 1 - j), k - j), BinomExp(j, self.a))
+            for j in range(k)
+        )
         return _merge(terms)
 
     def shift(self, h):
@@ -390,6 +394,17 @@ def as_combo(member) -> LinearCombo:
     raise ArgumentError(f"not a basis function or combination: {member!r}")
 
 
+def derivative_chain(member, count: int) -> tuple:
+    """(f, f', f'', ...) of one member as combinations, ``count`` long.
+
+    The member itself is always the first entry, even when ``count`` < 1.
+    """
+    chain = [as_combo(member)]
+    while len(chain) < count:
+        chain.append(chain[-1].derivative())
+    return tuple(chain)
+
+
 def _member_exact_ok(member) -> bool:
     if isinstance(member, LinearCombo):
         return all(
@@ -432,6 +447,17 @@ class FunctionFamily:
     @property
     def size(self) -> int:
         return len(self.members)
+
+    @cached_property
+    def derivative_rows(self) -> tuple:
+        """Row i holds the i-th derivative of every member, for i < size.
+
+        Built on first use and kept for the life of the family, so every
+        Wronskian of the family reuses one derivative tower.  Raises
+        UnsupportedOperationError when a member has no exact derivative.
+        """
+        chains = [derivative_chain(m, self.size) for m in self.members]
+        return tuple(zip(*chains))
 
     def labels(self) -> tuple:
         return tuple(str(m) for m in self.members)

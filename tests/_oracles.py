@@ -4,8 +4,10 @@ Everything here is deliberately naive: cofactor expansion instead of
 elimination, minor enumeration instead of row reduction.  Slow but short
 enough to audit by eye, and sharing no code with the kernels under test.
 """
+import cmath
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from casowron.polynomial import Polynomial
 
@@ -36,6 +38,15 @@ def poly_wronskian(polys) -> Polynomial:
         rows.append(list(current))
         current = [p.derivative() for p in current]
     return cofactor_det(rows)
+
+
+def exp_poly_derivative(p: Polynomial, mu, n: int, x) -> complex:
+    """n-th derivative of p(x) * exp(mu x) at x, by the Leibniz rule."""
+    total, dp = 0, p
+    for j in range(n + 1):
+        total += comb(n, j) * complex(dp(x)) * mu ** (n - j)
+        dp = dp.derivative()
+    return total * cmath.exp(mu * x)
 
 
 def poly_casoratian(polys) -> Polynomial:

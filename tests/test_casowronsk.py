@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -25,17 +26,28 @@ from casowron.errors import (
     UnsupportedOperationError,
 )
 from casowron.functions import (
+    BinomExp,
     ExpTrig,
     FunctionFamily,
+    LinearCombo,
     Monomial,
+    PolyFunction,
+    binom_exp_family,
     exp_trig_family,
     hyperbolic_family,
     natural_log,
     power_family,
 )
-from casowron.scalars import EXACT, superfactorial
+from casowron.polynomial import Polynomial
+from casowron.scalars import EXACT, binomial_poly, superfactorial
 
-from _oracles import cofactor_det, poly_casoratian, poly_wronskian, rand_fraction
+from _oracles import (
+    cofactor_det,
+    exp_poly_derivative,
+    poly_casoratian,
+    poly_wronskian,
+    rand_fraction,
+)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -59,6 +71,75 @@ def test_wronskian_matrix_rejects_tabulated():
     fam = FunctionFamily((Monomial(0).combo(), natural_log()))
     with pytest.raises(UnsupportedOperationError):
         wronskian_matrix(fam, 2.0)
+
+
+def test_wronskian_matrix_exact_against_polynomial_derivatives():
+    polys = [
+        Polynomial((3, 0, Fraction(-1, 2), 0, 2)),
+        Polynomial((0, 5, 1)),
+        Polynomial((Fraction(2, 7), -1, 0, 1)),
+    ]
+    families = [
+        (power_family(4), [Polynomial.monomial(k) for k in range(5)]),
+        (FunctionFamily(tuple(PolyFunction(p) for p in polys), EXACT), polys),
+    ]
+    for fam, plain in families:
+        for x in (Fraction(-3, 2), Fraction(0), Fraction(7, 5)):
+            rows = wronskian_matrix(fam, x).rows()
+            current = list(plain)
+            for row in rows:
+                assert row == [p(x) for p in current]
+                current = [p.derivative() for p in current]
+
+
+def _exp_poly_parts(member) -> list:
+    """(weight, p, mu) with member(x) = sum of weight * p(x) * exp(mu x)."""
+    if isinstance(member, BinomExp):
+        return [(1, binomial_poly(member.k), cmath.log(member.a))]
+    xk = Polynomial.monomial(member.k)
+    if isinstance(member, ExpTrig):
+        up = member.m + 1j * member.omega
+        down = member.m - 1j * member.omega
+        if member.phase == "cos":
+            return [(0.5, xk, up), (0.5, xk, down)]
+        return [(-0.5j, xk, up), (0.5j, xk, down)]
+    odd = 1 if member.phase == "cosh" else -1
+    return [(0.5, xk, member.m), (0.5 * odd, xk, -member.m)]
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [binom_exp_family(4, 1.7), exp_trig_family(2, 0.3, 1.1), hyperbolic_family(2, 0.8)],
+    ids=["binom-exp", "exp-trig", "hyperbolic"],
+)
+def test_wronskian_matrix_float_against_leibniz_derivatives(fam):
+    for x in (-0.7, 0.45, 1.3):
+        rows = wronskian_matrix(fam, x).rows()
+        for i, row in enumerate(rows):
+            want = [
+                sum(w * exp_poly_derivative(p, mu, i, x) for w, p, mu in _exp_poly_parts(m))
+                for m in fam.members
+            ]
+            scale = max(abs(v) for v in want)
+            for got, ref in zip(row, want):
+                assert abs(got - ref) <= 1e-13 * scale
+
+
+def test_derivative_tower_built_once_per_family(monkeypatch):
+    calls = []
+    original = LinearCombo.derivative
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(LinearCombo, "derivative", counted)
+    counts = []
+    for grid in ([0.5], [t / 8 for t in range(9)]):
+        calls.clear()
+        ratio_sweep(exp_trig_family(2, 0.3, 1.1), grid)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 6 * 5
 
 
 def test_casoratian_matrix_structure():

@@ -1,9 +1,13 @@
 import json
+import os
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import casowron
 from casowron.cli import fmt_scalar, main
 from casowron.theory import DEFAULT_SEED
 
@@ -178,6 +182,17 @@ def test_limit_check_derivative(capsys, manifest):
     assert "ok: true" in out
 
 
+def test_limit_check_derivative_underflowed_step_exits_one(capsys, manifest):
+    # 1e-300 * 1e-30 underflows to a zero step
+    path = manifest("member exppoly k=1 m=0.5\n")
+    code, _, err = run_main(capsys, [
+        "limit-check", "derivative", path,
+        "--h-start", "1e-300", "--h-factor", "1e-30", "--h-count", "3",
+    ])
+    assert code == 1
+    assert "step h must be nonzero" in err
+
+
 def test_limit_check_casoratian_mode(capsys, manifest):
     pair = (
         "member exptrig k=0 m=0 omega=1 phase=cos\n"
@@ -248,6 +263,15 @@ def test_wronskian_of_tabulated_exits_two(capsys, manifest):
     path = manifest("member monomial k=0\nmember tabulated name=ln\n")
     code, _, err = run_main(capsys, ["wronskian", path, "--at", "2"])
     assert code == 2
+
+
+def test_wronskian_of_tabulated_names_missing_derivative_first(capsys, manifest):
+    # the derivative tower is built before any row is evaluated, so the
+    # missing derivative is reported even where ln is outside its domain
+    path = manifest("member monomial k=1\nmember tabulated name=ln\n")
+    code, _, err = run_main(capsys, ["wronskian", path, "--at", "-1"])
+    assert code == 2
+    assert "ln has no exact derivative" in err
 
 
 def test_tabulated_outside_domain_exits_two(capsys, manifest):
@@ -342,30 +366,47 @@ def test_bad_seed_env_exits_one(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Installed entry point and stdin manifests
+# Entry point and stdin manifests
 # ---------------------------------------------------------------------------
+
+# The package directory the tests import, so ``python -m casowron`` runs the
+# same code whether or not the package is installed.
+SRC_DIR = str(Path(casowron.__file__).resolve().parents[1])
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def run_module(args, stdin):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "casowron", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_console_script_declared():
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["casowron"] == "casowron.cli:main"
+
 
 def test_console_script_json_on_stdin():
     doc = json.dumps(
         {"members": [{"kind": "monomial", "k": 0}, {"kind": "monomial", "k": 1}]}
     )
-    proc = subprocess.run(
-        ["casowron", "wronskian", "-", "--at", "5"],
-        input=doc,
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["wronskian", "-", "--at", "5"], doc)
     assert proc.returncode == 0
     assert "wronskian[0]: 1" in proc.stdout
 
 
 def test_console_script_bad_json_exits_one():
-    proc = subprocess.run(
-        ["casowron", "classify", "-"],
-        input="{not json",
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module(["classify", "-"], "{not json")
     assert proc.returncode == 1
     assert "bad JSON manifest" in proc.stderr
 
@@ -381,11 +422,6 @@ def test_console_script_determinism():
             "grid": [0, 2, 9],
         }
     )
-    runs = [
-        subprocess.run(
-            ["casowron", "ratio", "-"], input=doc, capture_output=True, text=True
-        )
-        for _ in range(2)
-    ]
+    runs = [run_module(["ratio", "-"], doc) for _ in range(2)]
     assert runs[0].returncode == 0
     assert runs[0].stdout == runs[1].stdout

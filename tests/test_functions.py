@@ -27,7 +27,7 @@ from casowron.functions import (
     transformed_family,
 )
 from casowron.polynomial import Polynomial
-from casowron.scalars import EXACT, FLOAT, binomial_value
+from casowron.scalars import EXACT, FLOAT, binomial_poly, binomial_value
 
 # one representative of every analytic member kind; all real-valued on reals
 ANALYTIC_MEMBERS = [
@@ -104,6 +104,19 @@ def test_binom_exp_evaluate():
     assert f.evaluate(x) == pytest.approx(want)
     with pytest.raises(ArgumentError):
         BinomExp(1, 0)
+
+
+def test_binom_exp_derivative_matches_binomial_basis():
+    # the closed form against re-expanding d/dx binom(x,k) in the binomial basis
+    a = 1.7
+    for k in range(21):
+        basis = binomial_poly(k).derivative().to_binomial_basis()
+        want = ((cmath.log(a), BinomExp(k, a)),) + tuple(
+            (c, BinomExp(j, a)) for j, c in enumerate(basis) if c != 0
+        )
+        got = BinomExp(k, a).derivative().terms
+        assert got == want
+        assert all(type(c) is Fraction for c, _ in got[1:])
 
 
 def test_binom_exp_non_integer_shift():
