@@ -15,7 +15,7 @@ from math import comb
 from .determinants import ScalarMatrix
 from .errors import ArgumentError, DegenerateSweepError, NumericError
 from .functions import FunctionFamily, as_combo
-from .scalars import EXACT, is_exact
+from .scalars import EXACT
 
 #: Relative spread below which a float ratio sweep counts as constant.
 CONSTANCY_TOL = 1e-9
@@ -66,16 +66,7 @@ def casoratian_delta_form(family: FunctionFamily, x) -> ScalarMatrix:
     xp = _point(family, x)
     n = family.size
     cols = [as_combo(m) for m in family.members]
-    rows = []
-    for i in range(n):
-        row = []
-        for c in cols:
-            acc = 0
-            for r in range(i + 1):
-                term = comb(i, r) * c.evaluate(xp + r)
-                acc = acc + (term if (i - r) % 2 == 0 else -term)
-            row.append(acc)
-        rows.append(row)
+    rows = [[delta_power(c, xp, 1, i) for c in cols] for i in range(n)]
     return ScalarMatrix.from_rows(rows, family.field)
 
 

@@ -19,6 +19,7 @@ numeric failure, 3 a verification that came back false.
 from __future__ import annotations
 
 import argparse
+import ast
 import cmath
 import csv
 import io
@@ -443,17 +444,47 @@ _EXPR_NAMES = {
 }
 
 
+_EXPR_NODES = (
+    ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load,
+    ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.UAdd, ast.USub,
+)
+
+
+def _expr_violation(node) -> str | None:
+    """What makes one node of an analytic expression disallowed, or None."""
+    if isinstance(node, ast.Constant):
+        ok = type(node.value) in (int, float, complex)
+        return None if ok else f"constant {node.value!r}"
+    if isinstance(node, ast.Name):
+        ok = node.id == "x" or node.id in _EXPR_NAMES
+        return None if ok else f"name {node.id!r}"
+    if isinstance(node, ast.Call):
+        ok = (isinstance(node.func, ast.Name)
+              and callable(_EXPR_NAMES.get(node.func.id)) and not node.keywords)
+        return None if ok else f"call {ast.unparse(node)!r}"
+    return None if isinstance(node, _EXPR_NODES) else type(node).__name__
+
+
 def _analytic_callable(expr: str):
     """Compile a small arithmetic expression in x into a callable.
 
-    Only the names in _EXPR_NAMES plus x are visible; used for families
+    Only numbers, x, the names in _EXPR_NAMES, + - * / **, unary signs and
+    positional calls of the _EXPR_NAMES functions pass; every other syntax
+    tree node is refused before anything is compiled.  Used for families
     whose Wronskian is known analytically but whose members cannot be
     differentiated (tabulated data).
     """
     try:
-        code = compile(expr, "<analytic-w>", "eval")
+        tree = ast.parse(expr, "<analytic-w>", "eval")
+        for node in ast.walk(tree):
+            bad = _expr_violation(node)
+            if bad is not None:
+                raise ArgumentError(f"bad analytic expression: {bad} is not allowed")
+        code = compile(tree, "<analytic-w>", "eval")
     except SyntaxError as exc:
         raise ArgumentError(f"bad analytic expression: {exc}") from None
+    except (MemoryError, RecursionError):
+        raise ArgumentError("bad analytic expression: nested too deeply") from None
 
     def evaluate(x):
         names = dict(_EXPR_NAMES)
@@ -469,6 +500,11 @@ def _analytic_callable(expr: str):
 def _cmd_ratio(args, rep: Report) -> int:
     manifest = load_manifest(args.manifest)
     grid = _ratio_grid(args, manifest)
+    if args.analytic_w and manifest.family.field == EXACT:
+        raise ArgumentError(
+            "--analytic-w needs a float manifest; an exact family's "
+            "Wronskian is computed exactly"
+        )
     analytic = _analytic_callable(args.analytic_w) if args.analytic_w else None
     sweep = ratio_sweep(
         manifest.family, grid, analytic_w=analytic, constancy_tol=args.tol
@@ -869,6 +905,9 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         except CasowronError as exc:
             print(f"casowron: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except OverflowError as exc:
+            print(f"casowron: numeric overflow: {exc}", file=sys.stderr)
             return EXIT_DOMAIN
     for item in caught:
         rep.warn(str(item.message))

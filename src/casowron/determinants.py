@@ -1,8 +1,9 @@
 """Determinant and linear-solve kernels over both scalar fields.
 
-The exact path clears denominators row by row and then runs fraction-free
-(Bareiss) elimination on big integers, which bounds intermediate growth
-without gcd churn.  The float path is classic Gaussian elimination with
+The exact path clears denominators row by row and then runs one
+fraction-free (Bareiss) echelon elimination on big integers, which bounds
+intermediate growth without gcd churn; det, rank and solve all read their
+answer off that one elimination.  The float path is classic Gaussian elimination with
 partial pivoting on complex doubles; a tiny pivot triggers a warning so a
 caller can treat the result with suspicion.
 """
@@ -71,6 +72,55 @@ def _rows_of(matrix) -> list:
     return [list(r) for r in matrix]
 
 
+def _integer_rows(rows) -> tuple:
+    """Each row times the lcm of its denominators, and the product of those lcms."""
+    scale = 1
+    out = []
+    for row in rows:
+        frs = [v if isinstance(v, Fraction) else Fraction(v) for v in row]
+        den = math.lcm(*(f.denominator for f in frs))
+        out.append([f.numerator * (den // f.denominator) for f in frs])
+        scale *= den
+    return out, scale
+
+
+def _echelon(m: list) -> tuple:
+    """Fraction-free row echelon form of an integer matrix, in place.
+
+    Rectangular and rank-deficient input is fine: a column with no nonzero
+    entry left below the current row gets no pivot and is skipped.  Every
+    division is exact, because after r pivots entry (i, j) of a lower row is
+    the minor of the row-swapped input on rows 0..r-1, i and on the pivot
+    columns plus j; so the r-th pivot is the leading r x r minor on the
+    pivot columns.  Returns (pivot columns, sign of the row permutation).
+    """
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    sign = 1
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            m[r], m[p] = m[p], m[r]
+            sign = -sign
+        top = m[r]
+        pv = top[c]
+        for row in m[r + 1:]:
+            f = row[c]
+            for j in range(c + 1, ncols):
+                row[j] = (pv * row[j] - f * top[j]) // prev
+            row[c] = 0
+        prev = pv
+        pivots.append(c)
+    return pivots, sign
+
+
 def det_exact(matrix) -> Fraction:
     """Exact determinant of a matrix with rational entries."""
     rows = _rows_of(matrix)
@@ -79,36 +129,11 @@ def det_exact(matrix) -> Fraction:
         return Fraction(1)
     if any(len(r) != n for r in rows):
         raise ArgumentError("matrix must be square")
-    scale = 1
-    work = []
-    for row in rows:
-        frs = [v if isinstance(v, Fraction) else Fraction(v) for v in row]
-        den = math.lcm(*(f.denominator for f in frs)) if frs else 1
-        work.append([int(f * den) for f in frs])
-        scale *= den
-    return Fraction(_bareiss(work), scale)
-
-
-def _bareiss(m: list) -> int:
-    # Fraction-free elimination: every division below is exact over the
-    # integers, and entries stay minors of the (possibly row-swapped) input.
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    work, scale = _integer_rows(rows)
+    pivots, sign = _echelon(work)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * work[n - 1][n - 1], scale)
 
 
 def det_float(matrix) -> complex:
@@ -151,16 +176,6 @@ def det_float(matrix) -> complex:
     return ensure_finite(det)
 
 
-def vandermonde_matrix(nodes, field: str | None = None) -> ScalarMatrix:
-    """Moment matrix with row i equal to (1, x_i, x_i^2, ..., x_i^(n-1))."""
-    nodes = list(nodes)
-    n = len(nodes)
-    if n == 0:
-        raise ArgumentError("need at least one node")
-    rows = [[x**j for j in range(n)] for x in nodes]
-    return ScalarMatrix.from_rows(rows, field)
-
-
 def vandermonde_product(nodes):
     """prod_{j < i} (x_i - x_j); the closed form of the moment determinant."""
     nodes = list(nodes)
@@ -177,65 +192,33 @@ def solve_exact(a_rows, b) -> list | None:
     A may be rectangular (tall systems are common here).  With free columns
     a particular solution is returned with zeros in the free positions.
     """
-    a = [
-        [v if isinstance(v, Fraction) else Fraction(v) for v in row]
-        for row in _rows_of(a_rows)
-    ]
-    rhs = [v if isinstance(v, Fraction) else Fraction(v) for v in b]
+    a = _rows_of(a_rows)
+    rhs = list(b)
     if len(a) != len(rhs):
         raise ArgumentError("right-hand side length mismatch")
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    aug = [a[i] + [rhs[i]] for i in range(nrows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for row_idx, c in enumerate(pivots):
-        x[c] = aug[row_idx][ncols]
-    return x
+    ncols = len(a[0]) if a else 0
+    aug, _ = _integer_rows([row + [v] for row, v in zip(a, rhs)])
+    pivots, _ = _echelon(aug)
+    if pivots and pivots[-1] == ncols:
+        return None
+    # Back-substitute over the pivot columns in integers: by Cramer's rule
+    # d * x_c is integral, where d is the last pivot, the determinant of
+    # the pivot block.  Free columns stay zero.
+    d = aug[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * ncols
+    for r in range(len(pivots) - 1, -1, -1):
+        row = aug[r]
+        c = pivots[r]
+        acc = d * row[ncols] - sum(row[j] * y[j] for j in pivots[r + 1:])
+        y[c] = acc // row[c]
+    return [Fraction(v, d) for v in y]
 
 
 def rank_exact(a_rows) -> int:
     """Rank of a rational matrix (rectangular allowed)."""
-    a = [
-        [v if isinstance(v, Fraction) else Fraction(v) for v in row]
-        for row in _rows_of(a_rows)
-    ]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if a[i][c] != 0), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pv = a[r][c]
-        for i in range(r + 1, nrows):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    work, _ = _integer_rows(_rows_of(a_rows))
+    pivots, _ = _echelon(work)
+    return len(pivots)
 
 
 def solve_float(a_rows, b) -> list:

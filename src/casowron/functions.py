@@ -1,17 +1,17 @@
-"""Basis functions: evaluation, exact differentiation, exact shifting.
+"""Basis functions: evaluation and exact differentiation.
 
 All families handed to the determinant builders are assembled from the kinds
-below.  Differentiation and shifting return finite linear combinations that
-stay inside the originating kind, so iterated row construction never leaves a
-family's own span:
+below.  Differentiation returns a finite linear combination that stays inside
+the originating kind, so iterated row construction never leaves a family's
+own span:
 
-* powers and polynomials close under both operations (binomial expansion);
-* binomial-coefficient exponentials close via the convolution identity
-  binom(x+h, k) = sum_j binom(h, k-j) binom(x, j), valid for any scalar h;
+* powers and polynomials close under the derivative;
+* binomial-coefficient exponentials close via D = log(1 + Delta);
 * exponential-polynomial, exponential-trigonometric and hyperbolic kinds
   close under the usual product and addition rules;
-* tabulated functions only evaluate and shift; they have no exact derivative.
+* tabulated functions only evaluate; they have no exact derivative.
 
+Casoratian rows evaluate each member at x + i*h, so no kind needs a shift.
 Only powers and polynomials support the exact rational field.
 """
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
 
 from .errors import ArgumentError, DomainError, UnsupportedOperationError
 from .polynomial import Polynomial
@@ -41,9 +40,6 @@ class BasisFunction:
 
     def derivative(self) -> "LinearCombo":
         raise UnsupportedOperationError(f"{self} has no exact derivative")
-
-    def shift(self, h) -> "LinearCombo":
-        raise NotImplementedError
 
     def combo(self) -> "LinearCombo":
         return LinearCombo(((1, self),))
@@ -72,12 +68,6 @@ class Monomial(BasisFunction):
             return LinearCombo(())
         return LinearCombo(((self.k, Monomial(self.k - 1)),))
 
-    def shift(self, h):
-        k = self.k
-        return LinearCombo(
-            tuple((comb(k, j) * h ** (k - j), Monomial(j)) for j in range(k + 1))
-        )
-
     def __str__(self):
         return "1" if self.k == 0 else ("x" if self.k == 1 else f"x^{self.k}")
 
@@ -101,20 +91,6 @@ class PolyFunction(BasisFunction):
         if d.is_zero:
             return LinearCombo(())
         return LinearCombo(((1, PolyFunction(d)),))
-
-    def shift(self, h):
-        if is_exact(h):
-            return LinearCombo(((1, PolyFunction(self.poly.shift(h))),))
-        # Non-rational step: expand p(x+h) over the monomial basis instead.
-        terms = []
-        for j in range(len(self.poly.coeffs)):
-            c = sum(
-                self.poly.coeffs[i] * comb(i, j) * h ** (i - j)
-                for i in range(j, len(self.poly.coeffs))
-            )
-            if c != 0:
-                terms.append((c, Monomial(j)))
-        return LinearCombo(tuple(terms))
 
     def __str__(self):
         return str(self.poly)
@@ -148,14 +124,6 @@ class BinomExp(BasisFunction):
         )
         return _merge(terms)
 
-    def shift(self, h):
-        ah = self.a**h
-        terms = [
-            (ah * binomial_value(h, self.k - j), BinomExp(j, self.a))
-            for j in range(self.k + 1)
-        ]
-        return _merge(terms)
-
     def __str__(self):
         return f"binom(x,{self.k})*{_fmt_param(self.a)}^x"
 
@@ -179,14 +147,6 @@ class ExpPoly(BasisFunction):
         if self.k > 0:
             terms.append((self.k, ExpPoly(self.k - 1, self.m)))
         return _merge(terms)
-
-    def shift(self, h):
-        emh = cmath.exp(self.m * h)
-        k = self.k
-        return _merge(
-            (emh * comb(k, j) * h ** (k - j), ExpPoly(j, self.m))
-            for j in range(k + 1)
-        )
 
     def __str__(self):
         head = "" if self.k == 0 else ("x*" if self.k == 1 else f"x^{self.k}*")
@@ -226,21 +186,6 @@ class ExpTrig(BasisFunction):
             terms.append((self.omega, self._partner("cos")))
         return _merge(terms)
 
-    def shift(self, h):
-        emh = cmath.exp(self.m * h)
-        c, s = cmath.cos(self.omega * h), cmath.sin(self.omega * h)
-        k = self.k
-        terms = []
-        for j in range(k + 1):
-            w = emh * comb(k, j) * h ** (k - j)
-            if self.phase == "cos":
-                terms.append((w * c, self._partner("cos", j)))
-                terms.append((-w * s, self._partner("sin", j)))
-            else:
-                terms.append((w * c, self._partner("sin", j)))
-                terms.append((w * s, self._partner("cos", j)))
-        return _merge(terms)
-
     def __str__(self):
         head = "" if self.k == 0 else ("x*" if self.k == 1 else f"x^{self.k}*")
         env = "" if self.m == 0 else f"exp({_fmt_param(self.m)}*x)*"
@@ -275,17 +220,6 @@ class Hyperbolic(BasisFunction):
             terms.append((self.k, self._partner(self.phase, self.k - 1)))
         return _merge(terms)
 
-    def shift(self, h):
-        ch, sh = cmath.cosh(self.m * h), cmath.sinh(self.m * h)
-        other = "sinh" if self.phase == "cosh" else "cosh"
-        k = self.k
-        terms = []
-        for j in range(k + 1):
-            w = comb(k, j) * h ** (k - j)
-            terms.append((w * ch, self._partner(self.phase, j)))
-            terms.append((w * sh, self._partner(other, j)))
-        return _merge(terms)
-
     def __str__(self):
         head = "" if self.k == 0 else ("x*" if self.k == 1 else f"x^{self.k}*")
         return f"{head}{self.phase}({_fmt_param(self.m)}*x)"
@@ -314,19 +248,6 @@ class Tabulated(BasisFunction):
             raise DomainError(f"{self.name} evaluated at {t} outside ({lo}, {hi})")
         return complex(self.evaluator(t))
 
-    def shift(self, h):
-        z = complex(h)
-        if z.imag != 0:
-            raise ArgumentError("tabulated shift step must be real")
-        step = z.real
-        base = self.evaluator
-        lo, hi = self.domain
-        shifted = Tabulated(
-            f"{self.name}(x{step:+g})", lambda t, _b=base, _s=step: _b(t + _s),
-            (lo - step, hi - step),
-        )
-        return LinearCombo(((1, shifted),))
-
     def __str__(self):
         return self.name
 
@@ -352,13 +273,6 @@ class LinearCombo:
         out = []
         for c, f in self.terms:
             for c2, g in f.derivative().terms:
-                out.append((c * c2, g))
-        return _merge(out)
-
-    def shift(self, h) -> "LinearCombo":
-        out = []
-        for c, f in self.terms:
-            for c2, g in f.shift(h).terms:
                 out.append((c * c2, g))
         return _merge(out)
 
@@ -459,9 +373,6 @@ class FunctionFamily:
         chains = [derivative_chain(m, self.size) for m in self.members]
         return tuple(zip(*chains))
 
-    def labels(self) -> tuple:
-        return tuple(str(m) for m in self.members)
-
 
 def transformed_family(family: FunctionFamily, matrix_rows) -> FunctionFamily:
     """Apply an invertible(-looking) square coefficient matrix to the members."""
@@ -509,22 +420,6 @@ def exp_trig_family(n: int, m, omega) -> FunctionFamily:
     for k in range(n + 1):
         members.append(ExpTrig(k, m, omega, "cos"))
         members.append(ExpTrig(k, m, omega, "sin"))
-    return FunctionFamily(tuple(members), FLOAT)
-
-
-def exp_trig_exponential_form(n: int, m, omega) -> FunctionFamily:
-    """The same span as exp_trig_family, written with bases m +- i*omega."""
-    if n < 0:
-        raise ArgumentError("need n >= 0")
-    omega = float(omega)
-    if omega == 0:
-        raise ArgumentError("omega = 0 collapses the two exponential bases")
-    m = complex(m)
-    plus, minus = m + 1j * omega, m - 1j * omega
-    members = []
-    for k in range(n + 1):
-        members.append(ExpPoly(k, plus))
-        members.append(ExpPoly(k, minus))
     return FunctionFamily(tuple(members), FLOAT)
 
 
@@ -576,19 +471,3 @@ def member_polynomial(member) -> Polynomial:
             total = total + member_polynomial(f).scale(c)
         return total
     raise UnsupportedOperationError(f"{member} is not a polynomial member")
-
-
-def polynomial_coeff_matrix(family: FunctionFamily):
-    """Square matrix A with A[i][j] = coefficient of x**j in member i."""
-    from .determinants import ScalarMatrix  # local import avoids a cycle
-
-    polys = [member_polynomial(m) for m in family.members]
-    order = family.size
-    too_big = max((p.degree for p in polys), default=-1)
-    if too_big >= order:
-        raise ArgumentError(
-            "coefficient matrix would not be square: a member has degree "
-            f"{too_big} but the family has {order} members"
-        )
-    rows = [[p.coefficient(j) for j in range(order)] for p in polys]
-    return ScalarMatrix.from_rows(rows, EXACT)

@@ -7,7 +7,6 @@ accepts rational or complex points; everything else stays exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .errors import ArgumentError
 
@@ -59,34 +58,6 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs))[1:])
-
-    def shift(self, h) -> "Polynomial":
-        """Return p(x + h) for rational h."""
-        h = Fraction(h)
-        if self.is_zero or h == 0:
-            return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for j in range(i + 1):
-                out[j] += c * comb(i, j) * h ** (i - j)
-        return Polynomial(out)
-
-    def to_binomial_basis(self) -> tuple:
-        """Coefficients c_j with p(x) = sum_j c_j * falling(x,j)/j!.
-
-        Computed as forward differences of p at 0, 1, ..., deg(p), which is
-        exact over the rationals.
-        """
-        d = self.degree
-        if d < 0:
-            return ()
-        vals = [self(Fraction(r)) for r in range(d + 1)]
-        return tuple(
-            sum((-1) ** (j - r) * comb(j, r) * vals[r] for r in range(j + 1))
-            for j in range(d + 1)
-        )
 
     def scale(self, s) -> "Polynomial":
         return Polynomial(tuple(Fraction(s) * c for c in self.coeffs))

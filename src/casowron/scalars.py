@@ -13,10 +13,6 @@ from fractions import Fraction
 from .errors import ArgumentError, NumericError
 from .polynomial import Polynomial
 
-#: Exact scalars are plain Fractions; normalization (gcd-reduced, positive
-#: denominator) is guaranteed by the Fraction constructor.
-Rational = Fraction
-
 EXACT = "exact"
 FLOAT = "float"
 
@@ -57,22 +53,6 @@ def superfactorial(n: int) -> int:
         fact *= k
         out *= fact
     return out
-
-
-def stirling_sum(n: int, k: int) -> Fraction:
-    """sum_{r=0}^{n} (-1)^(n-r) r^k / (r! (n-r)!), with 0^0 = 1.
-
-    Vanishes for 0 <= k < n and equals 1 at k = n, which is what makes the
-    scaled forward-difference quotient converge to the derivative.
-    """
-    if n < 0 or k < 0:
-        raise ArgumentError("stirling_sum needs n, k >= 0")
-    total = Fraction(0)
-    for r in range(n + 1):
-        power = 1 if (r == 0 and k == 0) else r**k
-        term = Fraction(power, math.factorial(r) * math.factorial(n - r))
-        total += term if (n - r) % 2 == 0 else -term
-    return total
 
 
 def falling_factorial(x, r: int):

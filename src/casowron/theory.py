@@ -420,23 +420,6 @@ def proportionality_constant(
     )
 
 
-def binom_exp_asymptotic(a, n_first: int = 4, n_last: int = 10) -> tuple:
-    """Normalized log of the binomial-exponential constant, order by order.
-
-    Returns (n, log|constant| / ((n^2/2) log|a|)) pairs with signs arranged
-    so the value decreases monotonically to 1, witnessing that the constant
-    behaves like |a|**(-n^2/2) for large n.
-    """
-    mag = abs(complex(a))
-    if mag in (0.0, 1.0):
-        raise ArgumentError("need |a| other than 0 and 1")
-    out = []
-    for n in range(n_first, n_last + 1):
-        log_const = -(n * (n + 1) / 2) * math.log(mag)
-        out.append((n, abs(log_const) / ((n * n / 2) * abs(math.log(mag)))))
-    return tuple(out)
-
-
 def verify_binom_matrix_lemmas(n: int, a, trials: int = 5, seed=None,
                                tol: float = LEMMA_FLOAT_TOL) -> TheoremCheck:
     """Check the two unit-determinant lemmas behind the binomial family.

@@ -49,10 +49,34 @@ def exp_poly_derivative(p: Polynomial, mu, n: int, x) -> complex:
     return total * cmath.exp(mu * x)
 
 
+def shift(p: Polynomial, h) -> Polynomial:
+    """p(x + h) for rational h, by binomial expansion of every power."""
+    h = Fraction(h)
+    if p.is_zero or h == 0:
+        return p
+    out = [Fraction(0)] * len(p.coeffs)
+    for i, c in enumerate(p.coeffs):
+        for j in range(i + 1):
+            out[j] += c * comb(i, j) * h ** (i - j)
+    return Polynomial(out)
+
+
+def to_binomial_basis(p: Polynomial) -> tuple:
+    """Coefficients c_j with p(x) = sum_j c_j * falling(x, j) / j!.
+
+    Computed as forward differences of p at 0, 1, ..., deg(p).
+    """
+    vals = [p(Fraction(r)) for r in range(p.degree + 1)]
+    return tuple(
+        sum((-1) ** (j - r) * comb(j, r) * vals[r] for r in range(j + 1))
+        for j in range(p.degree + 1)
+    )
+
+
 def poly_casoratian(polys) -> Polynomial:
     """Symbolic Casoratian of exact polynomials: rows of successive unit shifts."""
     n = len(polys)
-    rows = [[p.shift(i) for p in polys] for i in range(n)]
+    rows = [[shift(p, i) for p in polys] for i in range(n)]
     return cofactor_det(rows)
 
 

@@ -49,7 +49,6 @@ from casowron.solver import (
     synthesize,
 )
 from casowron.theory import (
-    binom_exp_asymptotic,
     classify_subset,
     proportionality_constant,
     verify_binom_matrix_lemmas,
@@ -288,11 +287,6 @@ def test_10_binom_exp_constant(criterion):
                 predicted = a ** (-n * (n + 1) / 2)
                 assert abs(report.measured - predicted) <= 1e-9 * abs(predicted)
                 assert report.agreement is True
-        pairs = binom_exp_asymptotic(2, n_first=4, n_last=10)
-        values = [v for _, v in pairs]
-        assert all(a > b for a, b in zip(values, values[1:]))  # monotone down
-        assert all(v > 1 for v in values)
-        assert values[-1] - 1 <= 0.1 + 1e-12  # approaching 1
 
 
 def test_11_trig_hyperbolic_families(criterion):

@@ -309,6 +309,54 @@ def test_unattainable_min_order_exits_three(capsys, manifest):
     assert "ok: false" in out
 
 
+def test_ratio_analytic_w_on_exact_manifest_exits_one(capsys, manifest):
+    code, out, err = run_main(
+        capsys, ["ratio", manifest(POWERS), "--analytic-w", "1"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("casowron: argument error: --analytic-w needs a float manifest")
+
+
+@pytest.mark.parametrize("kind_args", [
+    ["--kind", "hyperbolic", "--n", "0", "--m", "1000"],
+    ["--kind", "gen-exp-poly", "--terms", "800,801"],
+])
+def test_proportionality_overflow_exits_two(capsys, kind_args):
+    code, out, err = run_main(capsys, ["proportionality", *kind_args])
+    assert code == 2
+    assert out == ""
+    assert err == "casowron: numeric overflow: math range error\n"
+
+
+def test_ratio_analytic_w_accepts_listed_names(capsys, manifest):
+    expr = "-exp(-2*ln(x)) + 0*sqrt(abs(+sin(pi*x) - cos(e)))"
+    code, out, _ = run_main(
+        capsys, ["ratio", manifest(LN_FAMILY), f"--analytic-w={expr}"]
+    )
+    assert code == 0
+    assert "constant: false" in out
+
+
+@pytest.mark.parametrize("expr", [
+    "().__class__.__base__",
+    "x.real",
+    "__import__('os')",
+    "sin(x=1)",
+    "x ^ 2",
+    "True",
+    "[x][0]",
+])
+def test_ratio_analytic_w_refuses_other_syntax(capsys, manifest, expr):
+    code, out, err = run_main(
+        capsys, ["ratio", manifest(LN_FAMILY), f"--analytic-w={expr}"]
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("casowron: argument error: bad analytic expression:")
+    assert err.rstrip().endswith("is not allowed")
+
+
 # ---------------------------------------------------------------------------
 # Determinism, CSV, timing, seeds
 # ---------------------------------------------------------------------------

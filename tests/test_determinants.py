@@ -12,7 +12,6 @@ from casowron.determinants import (
     rank_exact,
     solve_exact,
     solve_float,
-    vandermonde_matrix,
     vandermonde_product,
 )
 from casowron.errors import ArgumentError, NumericalWarning, NumericError
@@ -110,8 +109,8 @@ def test_det_float_rejects_nonfinite():
 
 def test_vandermonde_product_matches_determinant():
     nodes = [Fraction(1, 2), Fraction(3), Fraction(-2), Fraction(7, 3)]
-    matrix = vandermonde_matrix(nodes, EXACT)
-    assert det_exact(matrix.rows()) == vandermonde_product(nodes)
+    rows = [[x**j for j in range(len(nodes))] for x in nodes]
+    assert det_exact(rows) == vandermonde_product(nodes)
 
 
 def test_vandermonde_product_empty_and_single():
@@ -141,6 +140,52 @@ def test_solve_exact_underdetermined_picks_a_solution():
 @settings(max_examples=40)
 def test_rank_exact_matches_minor_oracle(rows):
     assert rank_exact(rows) == rank_by_minors(rows)
+
+
+@st.composite
+def linear_systems(draw):
+    """(A, b) with zero rows, dependent rows, and consistent or arbitrary b."""
+    nrows = draw(st.integers(1, 5))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(1, 5))
+    # frequent zero entries force row swaps and pivot-free columns
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    a = [draw(row)]
+    for _ in range(nrows - 1):
+        kind = draw(st.sampled_from(("free", "zero", "dependent")))
+        if kind == "free":
+            a.append(draw(row))
+        elif kind == "zero":
+            a.append([Fraction(0)] * ncols)
+        else:
+            i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(a) - 1))
+            c, d = draw(rationals), draw(rationals)
+            a.append([c * u + d * v for u, v in zip(a[i], a[j])])
+    if draw(st.booleans()):
+        x = draw(row)
+        b = [sum(u * v for u, v in zip(r, x)) for r in a]
+    else:
+        b = draw(st.lists(rationals, min_size=nrows, max_size=nrows))
+    return a, b
+
+
+@given(linear_systems())
+@settings(max_examples=200, deadline=None)
+def test_exact_kernel_matches_minor_oracles(system):
+    a, b = system
+    rank = rank_by_minors(a)
+    assert rank_exact(a) == rank
+    x = solve_exact(a, b)
+    if x is None:
+        assert rank_by_minors([r + [v] for r, v in zip(a, b)]) > rank
+    else:
+        assert [sum(u * v for u, v in zip(r, x)) for r in a] == b
+        for j in range(len(x)):
+            left = rank_by_minors([r[:j] for r in a])
+            if rank_by_minors([r[:j + 1] for r in a]) == left:
+                assert x[j] == 0
+    if len(a) == len(a[0]):
+        assert det_exact(a) == cofactor_det(a)
 
 
 def test_solve_float_and_singular():

@@ -12,7 +12,6 @@ from casowron.scalars import (
     ensure_finite,
     falling_factorial,
     is_exact,
-    stirling_sum,
     superfactorial,
 )
 
@@ -54,23 +53,6 @@ def test_ensure_finite():
         ensure_finite(float("nan"))
     with pytest.raises(NumericError):
         ensure_finite(complex(0, float("inf")))
-
-
-def test_stirling_sum_vanishes_below_diagonal():
-    # this cancellation is exactly why Delta^n x^k / h^n has a limit
-    for n in range(0, 7):
-        for k in range(0, n):
-            assert stirling_sum(n, k) == 0
-        assert stirling_sum(n, n) == 1
-
-
-def test_stirling_sum_against_second_kind_numbers():
-    # above the diagonal the sum is the Stirling partition number S(k, n)
-    import sympy
-
-    for n in range(0, 6):
-        for k in range(n, 9):
-            assert stirling_sum(n, k) == sympy.functions.combinatorial.numbers.stirling(k, n)
 
 
 def test_falling_factorial_exact_and_float():

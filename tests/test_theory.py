@@ -20,7 +20,6 @@ from casowron.polynomial import Polynomial
 from casowron.scalars import EXACT, superfactorial
 from casowron.theory import (
     DEFAULT_SEED,
-    binom_exp_asymptotic,
     check_invariance,
     classify_subset,
     proportionality_constant,
@@ -302,27 +301,8 @@ def test_proportionality_argument_validation():
 
 
 # ---------------------------------------------------------------------------
-# Binomial-exponential asymptotics and lemmas
+# Binomial-exponential lemmas
 # ---------------------------------------------------------------------------
-
-def test_binom_exp_asymptotic_decreases_to_one():
-    pairs = binom_exp_asymptotic(2, n_first=4, n_last=10)
-    values = [v for _, v in pairs]
-    assert [n for n, _ in pairs] == list(range(4, 11))
-    assert all(values[i] > values[i + 1] for i in range(len(values) - 1))
-    assert all(v > 1 for v in values)
-    assert values[-1] == pytest.approx(1 + 1 / 10)
-
-
-def test_binom_exp_asymptotic_base_magnitude_validation():
-    with pytest.raises(ArgumentError):
-        binom_exp_asymptotic(1)
-    with pytest.raises(ArgumentError):
-        binom_exp_asymptotic(0)
-    # |a| = 1 on the unit circle is just as degenerate
-    with pytest.raises(ArgumentError):
-        binom_exp_asymptotic(complex(0, 1))
-
 
 @pytest.mark.parametrize("n", range(0, 5))
 def test_binom_matrix_lemmas(n):
