@@ -14,7 +14,7 @@ from math import comb
 
 from .determinants import ScalarMatrix
 from .errors import ArgumentError, DegenerateSweepError, NumericError
-from .functions import FunctionFamily, as_combo
+from .functions import FunctionFamily
 from .scalars import EXACT
 
 #: Relative spread below which a float ratio sweep counts as constant.
@@ -50,10 +50,7 @@ def casoratian_matrix(family: FunctionFamily, x, h=1) -> ScalarMatrix:
     xp = _point(family, x)
     hp = _point(family, h)
     n = family.size
-    rows = [
-        [as_combo(m).evaluate(xp + i * hp) for m in family.members]
-        for i in range(n)
-    ]
+    rows = [[m.evaluate(xp + i * hp) for m in family.members] for i in range(n)]
     return ScalarMatrix.from_rows(rows, family.field)
 
 
@@ -65,8 +62,7 @@ def casoratian_delta_form(family: FunctionFamily, x) -> ScalarMatrix:
     """
     xp = _point(family, x)
     n = family.size
-    cols = [as_combo(m) for m in family.members]
-    rows = [[delta_power(c, xp, 1, i) for c in cols] for i in range(n)]
+    rows = [[delta_power(m, xp, 1, i) for m in family.members] for i in range(n)]
     return ScalarMatrix.from_rows(rows, family.field)
 
 

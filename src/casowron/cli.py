@@ -59,7 +59,7 @@ from .functions import (
     member_polynomial,
     natural_log,
 )
-from .polynomial import Polynomial
+from .polynomial import rational_text
 from .scalars import EXACT, FLOAT
 from .solver import SolverProblem, is_fundamental_set, recover_profiles, synthesize
 from .theory import (
@@ -91,12 +91,8 @@ def fmt_scalar(v) -> str:
     """Canonical text for report values; round-trips floats and rationals."""
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, (int, Fraction)):
+        return rational_text(v)
     if isinstance(v, complex):
         if v.imag == 0:
             return _g(v.real)
@@ -200,8 +196,10 @@ def _int_param(params: dict, key: str, where: str, minimum: int = 0) -> int:
 def _coeff_list(raw, where: str) -> list:
     if isinstance(raw, str):
         parts = [p for p in raw.split(",") if p != ""]
+    elif isinstance(raw, list):
+        parts = raw
     else:
-        parts = list(raw)
+        raise ManifestError(f"{where}: coeffs must be a list or a comma-separated string")
     if not parts:
         raise ManifestError(f"{where}: empty coefficient list")
     return [parse_exact_number(str(p), where) for p in parts]
@@ -213,7 +211,7 @@ def _build_member(kind: str, params: dict, where: str):
     if kind == "monomial":
         member = Monomial(_int_param(params, "k", where))
     elif kind == "poly":
-        member = PolyFunction(Polynomial(_coeff_list(_require(params, "coeffs", where), where)))
+        member = PolyFunction(_coeff_list(_require(params, "coeffs", where), where))
     elif kind == "binomexp":
         k = _int_param(params, "k", where)
         a = parse_float_number(str(_require(params, "a", where)), where)

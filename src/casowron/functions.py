@@ -1,237 +1,112 @@
-"""Basis functions: evaluation and exact differentiation.
+"""Family members: one exponential-polynomial form, evaluation and exact D.
 
-All families handed to the determinant builders are assembled from the kinds
-below.  Differentiation returns a finite linear combination that stays inside
-the originating kind, so iterated row construction never leaves a family's
-own span:
-
-* powers and polynomials close under the derivative;
-* binomial-coefficient exponentials close via D = log(1 + Delta);
-* exponential-polynomial, exponential-trigonometric and hyperbolic kinds
-  close under the usual product and addition rules;
-* tabulated functions only evaluate; they have no exact derivative.
-
-Casoratian rows evaluate each member at x + i*h, so no kind needs a shift.
-Only powers and polynomials support the exact rational field.
+Every analytic member is a finite sum ``sum_mu p_mu(x) exp(mu x)``, held by
+``LinearCombo`` as ``(mu, coeffs)`` pairs, coefficients low power first.  D
+maps that form to itself, ``(mu, p) -> (mu, mu*p + p')``, so iterated row
+construction never leaves a family's own span.  The named kinds are
+constructors of the form: ``Monomial`` and ``PolyFunction`` (mu = 0, exact
+rational coefficients, the only members of the exact field), ``ExpPoly``
+(``x^k e^{mx}``), ``BinomExp`` (``binom(x,k) e^{x ln a}``), ``ExpTrig``
+(exponents ``m +- i*omega``) and ``Hyperbolic`` (exponents ``+-m``).
+``Tabulated`` is the only other leaf: it evaluates and has no exact
+derivative.  Casoratian rows evaluate members at x + i*h; no shift exists.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import zip_longest
 
 from .errors import ArgumentError, DomainError, UnsupportedOperationError
 from .polynomial import Polynomial
-from .scalars import EXACT, FLOAT, binomial_value, is_exact
+from .scalars import EXACT, FLOAT, binomial_poly, is_exact
 
 PHASES_TRIG = ("cos", "sin")
 PHASES_HYP = ("cosh", "sinh")
 
 
-class BasisFunction:
-    """Shared surface of every function kind."""
+@dataclass(frozen=True)
+class LinearCombo:
+    """sum over mu of p_mu(x) exp(mu x), as ``(mu, coeffs)`` pairs.
 
-    exact_compatible = False
+    The constructor merges equal exponents, trims trailing zero
+    coefficients and drops zero polynomials.  ``label``, set by the named
+    kinds, is the text ``str()`` shows; it takes no part in equality.
+    """
+
+    terms: tuple
+    label: str = field(default="", compare=False)
+    #: Every mu is 0 and every given coefficient is rational.
+    exact_compatible: bool = field(init=False, repr=False, compare=False)
+    #: Closed under conjugation with some complex mu: real-valued on reals.
+    _real: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        merged: dict = {}
+        # decided before zeros are dropped, so that a float member which
+        # vanishes identically stays out of the exact field
+        exact = True
+        for mu, cs in self.terms:
+            cs = tuple(cs)
+            if mu in merged:
+                cs = tuple(u + v for u, v in zip_longest(merged[mu], cs, fillvalue=0))
+            merged[mu] = cs
+            exact = exact and mu == 0 and all(map(is_exact, cs))
+        terms = []
+        for mu, cs in merged.items():
+            while cs and not cs[-1]:
+                cs = cs[:-1]
+            if cs:
+                terms.append((mu, cs))
+        real = any(mu.imag for mu, _ in terms) and set(terms) == {
+            (mu.conjugate(), tuple(c.conjugate() for c in cs)) for mu, cs in terms
+        }
+        object.__setattr__(self, "terms", tuple(terms))
+        object.__setattr__(self, "exact_compatible", exact)
+        object.__setattr__(self, "_real", real)
 
     def evaluate(self, x):
-        raise NotImplementedError
+        """Horner on each polynomial, times exp(mu*x) when mu is nonzero."""
+        total = None
+        for mu, cs in self.terms:
+            acc = cs[-1]
+            for c in cs[-2::-1]:
+                acc = acc * x + c
+            if mu:
+                acc = acc * cmath.exp(mu * x)
+            total = acc if total is None else total + acc
+        if total is None:
+            return 0
+        return complex(total.real) if self._real and x.imag == 0 else total
 
     def derivative(self) -> "LinearCombo":
-        raise UnsupportedOperationError(f"{self} has no exact derivative")
+        """D term by term: (mu, p) -> (mu, mu*p + p')."""
+        out = []
+        for mu, cs in self.terms:
+            dp = [j * cs[j] for j in range(1, len(cs))]
+            if mu:
+                dp = [mu * c + d for c, d in zip(cs, dp + [0])]
+            out.append((mu, tuple(dp)))
+        return LinearCombo(tuple(out))
 
-    def combo(self) -> "LinearCombo":
-        return LinearCombo(((1, self),))
-
-
-def _check_power(k) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ArgumentError("power index must be a non-negative integer")
-
-
-@dataclass(frozen=True)
-class Monomial(BasisFunction):
-    """x**k."""
-
-    k: int
-    exact_compatible = True
-
-    def __post_init__(self):
-        _check_power(self.k)
-
-    def evaluate(self, x):
-        return x**self.k
-
-    def derivative(self):
-        if self.k == 0:
-            return LinearCombo(())
-        return LinearCombo(((self.k, Monomial(self.k - 1)),))
+    def scaled(self, s) -> "LinearCombo":
+        return LinearCombo(tuple((mu, tuple(s * c for c in cs)) for mu, cs in self.terms))
 
     def __str__(self):
-        return "1" if self.k == 0 else ("x" if self.k == 1 else f"x^{self.k}")
+        parts = (f"({', '.join(map(str, cs))})*exp({_fmt_param(mu)}*x)" for mu, cs in self.terms)
+        return self.label or " + ".join(parts) or "0"
 
 
 @dataclass(frozen=True)
-class PolyFunction(BasisFunction):
-    """A fixed polynomial with exact rational coefficients."""
-
-    poly: Polynomial
-    exact_compatible = True
-
-    def __post_init__(self):
-        if not isinstance(self.poly, Polynomial):
-            object.__setattr__(self, "poly", Polynomial(self.poly))
-
-    def evaluate(self, x):
-        return self.poly(x)
-
-    def derivative(self):
-        d = self.poly.derivative()
-        if d.is_zero:
-            return LinearCombo(())
-        return LinearCombo(((1, PolyFunction(d)),))
-
-    def __str__(self):
-        return str(self.poly)
-
-
-@dataclass(frozen=True)
-class BinomExp(BasisFunction):
-    """binom(x, k) * a**x for a nonzero base a."""
-
-    k: int
-    a: complex
-
-    def __post_init__(self):
-        _check_power(self.k)
-        a = complex(self.a)
-        if a == 0:
-            raise ArgumentError("exponential base must be nonzero")
-        object.__setattr__(self, "a", a)
-
-    def evaluate(self, x):
-        return binomial_value(x, self.k) * self.a**x
-
-    def derivative(self):
-        # d/dx binom(x,k) = sum_{j<k} (-1)^(k-1-j)/(k-j) * binom(x,j), from
-        # D = log(1 + Delta) and Delta binom(x,k) = binom(x,k-1).
-        k = self.k
-        terms = [(cmath.log(self.a), self)]
-        terms.extend(
-            (Fraction((-1) ** (k - 1 - j), k - j), BinomExp(j, self.a))
-            for j in range(k)
-        )
-        return _merge(terms)
-
-    def __str__(self):
-        return f"binom(x,{self.k})*{_fmt_param(self.a)}^x"
-
-
-@dataclass(frozen=True)
-class ExpPoly(BasisFunction):
-    """x**k * exp(m*x)."""
-
-    k: int
-    m: complex
-
-    def __post_init__(self):
-        _check_power(self.k)
-        object.__setattr__(self, "m", complex(self.m))
-
-    def evaluate(self, x):
-        return x**self.k * cmath.exp(self.m * x)
-
-    def derivative(self):
-        terms = [(self.m, self)]
-        if self.k > 0:
-            terms.append((self.k, ExpPoly(self.k - 1, self.m)))
-        return _merge(terms)
-
-    def __str__(self):
-        head = "" if self.k == 0 else ("x*" if self.k == 1 else f"x^{self.k}*")
-        return f"{head}exp({_fmt_param(self.m)}*x)"
-
-
-@dataclass(frozen=True)
-class ExpTrig(BasisFunction):
-    """x**k * exp(m*x) * cos(omega*x) or the sine companion."""
-
-    k: int
-    m: complex
-    omega: float
-    phase: str
-
-    def __post_init__(self):
-        _check_power(self.k)
-        if self.phase not in PHASES_TRIG:
-            raise ArgumentError(f"phase must be one of {PHASES_TRIG}")
-        object.__setattr__(self, "m", complex(self.m))
-        object.__setattr__(self, "omega", float(self.omega))
-
-    def evaluate(self, x):
-        trig = cmath.cos if self.phase == "cos" else cmath.sin
-        return x**self.k * cmath.exp(self.m * x) * trig(self.omega * x)
-
-    def _partner(self, phase, k=None):
-        return ExpTrig(self.k if k is None else k, self.m, self.omega, phase)
-
-    def derivative(self):
-        terms = [(self.m, self)]
-        if self.k > 0:
-            terms.append((self.k, self._partner(self.phase, self.k - 1)))
-        if self.phase == "cos":
-            terms.append((-self.omega, self._partner("sin")))
-        else:
-            terms.append((self.omega, self._partner("cos")))
-        return _merge(terms)
-
-    def __str__(self):
-        head = "" if self.k == 0 else ("x*" if self.k == 1 else f"x^{self.k}*")
-        env = "" if self.m == 0 else f"exp({_fmt_param(self.m)}*x)*"
-        return f"{head}{env}{self.phase}({_fmt_param(self.omega)}*x)"
-
-
-@dataclass(frozen=True)
-class Hyperbolic(BasisFunction):
-    """x**k * cosh(m*x) or x**k * sinh(m*x)."""
-
-    k: int
-    m: complex
-    phase: str
-
-    def __post_init__(self):
-        _check_power(self.k)
-        if self.phase not in PHASES_HYP:
-            raise ArgumentError(f"phase must be one of {PHASES_HYP}")
-        object.__setattr__(self, "m", complex(self.m))
-
-    def evaluate(self, x):
-        fn = cmath.cosh if self.phase == "cosh" else cmath.sinh
-        return x**self.k * fn(self.m * x)
-
-    def _partner(self, phase, k=None):
-        return Hyperbolic(self.k if k is None else k, self.m, phase)
-
-    def derivative(self):
-        other = "sinh" if self.phase == "cosh" else "cosh"
-        terms = [(self.m, self._partner(other))]
-        if self.k > 0:
-            terms.append((self.k, self._partner(self.phase, self.k - 1)))
-        return _merge(terms)
-
-    def __str__(self):
-        head = "" if self.k == 0 else ("x*" if self.k == 1 else f"x^{self.k}*")
-        return f"{head}{self.phase}({_fmt_param(self.m)}*x)"
-
-
-@dataclass(frozen=True)
-class Tabulated(BasisFunction):
+class Tabulated:
     """A function known only through an evaluator on an open real interval."""
 
     name: str
     evaluator: object
     domain: tuple = (-math.inf, math.inf)
+    exact_compatible = False
 
     def __post_init__(self):
         lo, hi = self.domain
@@ -248,6 +123,9 @@ class Tabulated(BasisFunction):
             raise DomainError(f"{self.name} evaluated at {t} outside ({lo}, {hi})")
         return complex(self.evaluator(t))
 
+    def derivative(self):
+        raise UnsupportedOperationError(f"{self} has no exact derivative")
+
     def __str__(self):
         return self.name
 
@@ -257,75 +135,18 @@ def natural_log() -> Tabulated:
     return Tabulated("ln", math.log, (0.0, math.inf))
 
 
-@dataclass(frozen=True)
-class LinearCombo:
-    """A finite linear combination of basis functions."""
-
-    terms: tuple
-
-    def evaluate(self, x):
-        total = 0
-        for c, f in self.terms:
-            total = total + c * f.evaluate(x)
-        return total
-
-    def derivative(self) -> "LinearCombo":
-        out = []
-        for c, f in self.terms:
-            for c2, g in f.derivative().terms:
-                out.append((c * c2, g))
-        return _merge(out)
-
-    def scaled(self, s) -> "LinearCombo":
-        return _merge((s * c, f) for c, f in self.terms)
-
-    def plus(self, other: "LinearCombo") -> "LinearCombo":
-        return _merge(self.terms + other.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*{f}" for c, f in self.terms)
+def _check_power(k) -> None:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ArgumentError("power index must be a non-negative integer")
 
 
-def _merge(terms) -> LinearCombo:
-    acc: dict = {}
-    order = []
-    for c, f in terms:
-        if f in acc:
-            acc[f] = acc[f] + c
-        else:
-            acc[f] = c
-            order.append(f)
-    return LinearCombo(tuple((acc[f], f) for f in order if acc[f] != 0))
+def _xk(k: int, c) -> tuple:
+    """Coefficients of c * x**k."""
+    return (0.0,) * k + (c,)
 
 
-def as_combo(member) -> LinearCombo:
-    if isinstance(member, LinearCombo):
-        return member
-    if isinstance(member, BasisFunction):
-        return member.combo()
-    raise ArgumentError(f"not a basis function or combination: {member!r}")
-
-
-def derivative_chain(member, count: int) -> tuple:
-    """(f, f', f'', ...) of one member as combinations, ``count`` long.
-
-    The member itself is always the first entry, even when ``count`` < 1.
-    """
-    chain = [as_combo(member)]
-    while len(chain) < count:
-        chain.append(chain[-1].derivative())
-    return tuple(chain)
-
-
-def _member_exact_ok(member) -> bool:
-    if isinstance(member, LinearCombo):
-        return all(
-            is_exact(c) and getattr(f, "exact_compatible", False)
-            for c, f in member.terms
-        )
-    return getattr(member, "exact_compatible", False)
+def _head(k: int) -> str:
+    return "" if k == 0 else ("x*" if k == 1 else f"x^{k}*")
 
 
 def _fmt_param(v) -> str:
@@ -334,6 +155,72 @@ def _fmt_param(v) -> str:
         r = z.real
         return str(int(r)) if r == int(r) else repr(r)
     return repr(z)
+
+
+def PolyFunction(poly) -> LinearCombo:
+    """A fixed polynomial with exact rational coefficients."""
+    if not isinstance(poly, Polynomial):
+        poly = Polynomial(poly)
+    return LinearCombo(((0, poly.coeffs),), str(poly))
+
+
+def Monomial(k: int) -> LinearCombo:
+    """x**k."""
+    _check_power(k)
+    return PolyFunction(Polynomial.monomial(k))
+
+
+def BinomExp(k: int, a) -> LinearCombo:
+    """binom(x, k) * a**x for a nonzero base a."""
+    _check_power(k)
+    a = complex(a)
+    if a == 0:
+        raise ArgumentError("exponential base must be nonzero")
+    cs = tuple(float(c) for c in binomial_poly(k).coeffs)
+    return LinearCombo(((cmath.log(a), cs),), f"binom(x,{k})*{_fmt_param(a)}^x")
+
+
+def ExpPoly(k: int, m) -> LinearCombo:
+    """x**k * exp(m*x)."""
+    _check_power(k)
+    m = complex(m)
+    return LinearCombo(((m, _xk(k, 1.0)),), f"{_head(k)}exp({_fmt_param(m)}*x)")
+
+
+def ExpTrig(k: int, m, omega, phase: str) -> LinearCombo:
+    """x**k * exp(m*x) * cos(omega*x) or the sine companion."""
+    _check_power(k)
+    if phase not in PHASES_TRIG:
+        raise ArgumentError(f"phase must be one of {PHASES_TRIG}")
+    m, omega = complex(m), float(omega)
+    c = 0.5 if phase == "cos" else -0.5j
+    env = "" if m == 0 else f"exp({_fmt_param(m)}*x)*"
+    return LinearCombo(
+        ((m + 1j * omega, _xk(k, c)), (m - 1j * omega, _xk(k, c.conjugate()))),
+        f"{_head(k)}{env}{phase}({_fmt_param(omega)}*x)",
+    )
+
+
+def Hyperbolic(k: int, m, phase: str) -> LinearCombo:
+    """x**k * cosh(m*x) or x**k * sinh(m*x)."""
+    _check_power(k)
+    if phase not in PHASES_HYP:
+        raise ArgumentError(f"phase must be one of {PHASES_HYP}")
+    m = complex(m)
+    odd = 0.5 if phase == "cosh" else -0.5
+    return LinearCombo(((m, _xk(k, 0.5)), (-m, _xk(k, odd))),
+                       f"{_head(k)}{phase}({_fmt_param(m)}*x)")
+
+
+def derivative_chain(member, count: int) -> tuple:
+    """(f, f', f'', ...) of one member, ``count`` long.
+
+    The member itself is always the first entry, even when ``count`` < 1.
+    """
+    chain = [member]
+    while len(chain) < count:
+        chain.append(chain[-1].derivative())
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -350,9 +237,9 @@ class FunctionFamily:
         if self.field not in (EXACT, FLOAT):
             raise ArgumentError(f"unknown field tag {self.field!r}")
         for m in members:
-            if not isinstance(m, (BasisFunction, LinearCombo)):
+            if not isinstance(m, (LinearCombo, Tabulated)):
                 raise ArgumentError(f"not a basis function or combination: {m!r}")
-            if self.field == EXACT and not _member_exact_ok(m):
+            if self.field == EXACT and not m.exact_compatible:
                 raise ArgumentError(
                     f"member {m} does not support the exact rational field"
                 )
@@ -380,14 +267,12 @@ def transformed_family(family: FunctionFamily, matrix_rows) -> FunctionFamily:
     n = family.size
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ArgumentError("change-of-basis matrix must match the family size")
-    base = [as_combo(m) for m in family.members]
+    if any(isinstance(m, Tabulated) for m in family.members):
+        raise UnsupportedOperationError("tabulated members cannot be combined")
     new_members = []
     for row in rows:
-        combined = LinearCombo(())
-        for c, col in zip(row, base):
-            if c != 0:
-                combined = combined.plus(col.scaled(c))
-        new_members.append(combined)
+        terms = [m.scaled(c).terms for c, m in zip(row, family.members) if c != 0]
+        new_members.append(LinearCombo(sum(terms, ())))
     return FunctionFamily(tuple(new_members), family.field)
 
 
@@ -416,10 +301,7 @@ def exp_trig_family(n: int, m, omega) -> FunctionFamily:
     omega = float(omega)
     if omega == 0:
         raise ArgumentError("omega = 0 makes every sine member vanish")
-    members = []
-    for k in range(n + 1):
-        members.append(ExpTrig(k, m, omega, "cos"))
-        members.append(ExpTrig(k, m, omega, "sin"))
+    members = (ExpTrig(k, m, omega, phase) for k in range(n + 1) for phase in PHASES_TRIG)
     return FunctionFamily(tuple(members), FLOAT)
 
 
@@ -429,10 +311,7 @@ def hyperbolic_family(n: int, m) -> FunctionFamily:
         raise ArgumentError("need n >= 0")
     if complex(m) == 0:
         raise ArgumentError("m = 0 makes every sinh member vanish")
-    members = []
-    for k in range(n + 1):
-        members.append(Hyperbolic(k, m, "cosh"))
-        members.append(Hyperbolic(k, m, "sinh"))
+    members = (Hyperbolic(k, m, phase) for k in range(n + 1) for phase in PHASES_HYP)
     return FunctionFamily(tuple(members), FLOAT)
 
 
@@ -443,31 +322,14 @@ def gen_exp_poly_family(terms) -> FunctionFamily:
         raise ArgumentError("need at least one (m, n) block")
     if len({m for m, _ in blocks}) != len(blocks):
         raise ArgumentError("exponential bases must be pairwise distinct")
-    members = []
-    for m, top in blocks:
-        if top < 0:
-            raise ArgumentError("need n >= 0 in every block")
-        members.extend(ExpPoly(k, m) for k in range(top + 1))
+    if any(top < 0 for _, top in blocks):
+        raise ArgumentError("need n >= 0 in every block")
+    members = (ExpPoly(k, m) for m, top in blocks for k in range(top + 1))
     return FunctionFamily(tuple(members), FLOAT)
 
 
-# ---------------------------------------------------------------------------
-# Polynomial views
-# ---------------------------------------------------------------------------
-
 def member_polynomial(member) -> Polynomial:
-    """The Polynomial a power/polynomial member (or exact combination) denotes."""
-    if isinstance(member, Monomial):
-        return Polynomial.monomial(member.k)
-    if isinstance(member, PolyFunction):
-        return member.poly
-    if isinstance(member, LinearCombo):
-        total = Polynomial.zero()
-        for c, f in member.terms:
-            if not is_exact(c):
-                raise UnsupportedOperationError(
-                    "combination has non-rational coefficients"
-                )
-            total = total + member_polynomial(f).scale(c)
-        return total
+    """The Polynomial an exact (mu = 0, rational) member denotes."""
+    if getattr(member, "exact_compatible", False):
+        return Polynomial(member.terms[0][1] if member.terms else ())
     raise UnsupportedOperationError(f"{member} is not a polynomial member")

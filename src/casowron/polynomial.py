@@ -6,9 +6,20 @@ accepts rational or complex points; everything else stays exact.
 """
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ArgumentError
+
+
+def rational_text(v) -> str:
+    """An int or Fraction as ``p`` or ``p/q``, exact at any size.
+
+    ``str()`` of an int refuses more than 4,300 digits; the digits of a
+    Decimal built from the int are the same and have no such limit.
+    """
+    text = str(Decimal(v.numerator))
+    return text if v.denominator == 1 else f"{text}/{Decimal(v.denominator)}"
 
 
 class Polynomial:
@@ -111,10 +122,10 @@ class Polynomial:
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if i == 0:
-                body = str(mag)
+                body = rational_text(mag)
             else:
                 var = "x" if i == 1 else f"x^{i}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if mag == 1 else f"{rational_text(mag)}*{var}"
             parts.append((sign, body))
         sign0, body0 = parts[0]
         text = ("-" if sign0 == "-" else "") + body0

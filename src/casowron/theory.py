@@ -30,10 +30,8 @@ from .errors import (
 )
 from .functions import (
     FunctionFamily,
-    LinearCombo,
     PolyFunction,
     Tabulated,
-    as_combo,
     binom_exp_family,
     exp_trig_family,
     gen_exp_poly_family,
@@ -79,21 +77,25 @@ class TheoremCheck:
         return self.ok
 
 
-def verify_power_equality(n: int, trials: int = 5, seed=None) -> TheoremCheck:
-    """Check W = C = product of k! on {1, x, ..., x**n} at random rational x."""
-    if n < 0:
-        raise ArgumentError("need n >= 0")
-    fam = power_family(n)
-    expected = Fraction(superfactorial(n))
-    rng = _rng(seed)
+def _check_equal(fam: FunctionFamily, expected, trials: int, seed) -> TheoremCheck:
+    """W = C = expected, exactly, at ``trials`` seeded random rational points."""
+    if trials < 1:
+        raise ArgumentError("need trials >= 1")
     details = []
     ok = True
-    for x in _random_rationals(rng, trials):
+    for x in _random_rationals(_rng(seed), trials):
         w = wronskian(fam, x)
         c = casoratian(fam, x)
         details.append((x, w, c))
         ok = ok and w == expected and c == expected
     return TheoremCheck(ok, expected, tuple(details), seed)
+
+
+def verify_power_equality(n: int, trials: int = 5, seed=None) -> TheoremCheck:
+    """Check W = C = product of k! on {1, x, ..., x**n} at random rational x."""
+    if n < 0:
+        raise ArgumentError("need n >= 0")
+    return _check_equal(power_family(n), Fraction(superfactorial(n)), trials, seed)
 
 
 def verify_basis_equality(a_rows, n: int | None = None,
@@ -111,18 +113,8 @@ def verify_basis_equality(a_rows, n: int | None = None,
     det_a = det_exact(rows)
     if det_a == 0:
         raise ArgumentError("coefficient matrix is singular; not a basis")
-    members = tuple(PolyFunction(Polynomial(row)) for row in rows)
-    fam = FunctionFamily(members, EXACT)
-    expected = det_a * superfactorial(size - 1)
-    rng = _rng(seed)
-    details = []
-    ok = True
-    for x in _random_rationals(rng, trials):
-        w = wronskian(fam, x)
-        c = casoratian(fam, x)
-        details.append((x, w, c))
-        ok = ok and w == expected and c == expected
-    return TheoremCheck(ok, expected, tuple(details), seed)
+    fam = FunctionFamily(tuple(PolyFunction(row) for row in rows), EXACT)
+    return _check_equal(fam, det_a * superfactorial(size - 1), trials, seed)
 
 
 @dataclass(frozen=True)
@@ -201,14 +193,6 @@ class InvarianceReport:
     sweep: object = None
 
 
-def _has_tabulated(member) -> bool:
-    if isinstance(member, Tabulated):
-        return True
-    if isinstance(member, LinearCombo):
-        return any(_has_tabulated(f) for _, f in member.terms)
-    return False
-
-
 def check_invariance(family: FunctionFamily, seed=None,
                      ratio_grid=None, residual_tol: float = MEMBERSHIP_TOL
                      ) -> InvarianceReport:
@@ -221,7 +205,7 @@ def check_invariance(family: FunctionFamily, seed=None,
     a residual at most ``residual_tol`` relative to the target's magnitude.
     When both closures hold, a ratio sweep supplies kappa = W/C.
     """
-    if any(_has_tabulated(mb) for mb in family.members):
+    if any(isinstance(mb, Tabulated) for mb in family.members):
         raise UnsupportedOperationError(
             "invariance is decided structurally; tabulated members have no "
             "derivative to test"
@@ -238,8 +222,8 @@ def check_invariance(family: FunctionFamily, seed=None,
             x = rng.uniform(-1.5, 1.5)
             if all(abs(x - y) > 1e-3 for y in xs):
                 xs.append(x)
-    combos = [as_combo(mb) for mb in family.members]
-    a_rows = [[c.evaluate(x) for c in combos] for x in xs]
+    members = family.members
+    a_rows = [[mb.evaluate(x) for mb in members] for x in xs]
 
     def in_span(values) -> tuple:
         if exact:
@@ -252,9 +236,10 @@ def check_invariance(family: FunctionFamily, seed=None,
     d_ok = True
     s_ok = True
     residuals = []
-    for c in combos:
-        dvals = [c.derivative().evaluate(x) for x in xs]
-        svals = [c.evaluate(x + 1) for x in xs]
+    for mb in members:
+        d = mb.derivative()
+        dvals = [d.evaluate(x) for x in xs]
+        svals = [mb.evaluate(x + 1) for x in xs]
         ok_d, r_d = in_span(dvals)
         ok_s, r_s = in_span(svals)
         residuals.append((r_d, r_s))

@@ -268,7 +268,7 @@ def test_09_proportional_not_equal_example(criterion):
         assert abs(sweep.ratio_mean - want) <= 1e-12 * want
         # {1, x, ln x}: Wronskian known analytically, Casoratian measured
         trio = FunctionFamily(
-            (Monomial(0).combo(), Monomial(1).combo(), natural_log())
+            (Monomial(0), Monomial(1), natural_log())
         )
         grid = [float(t) for t in range(1, 11)]
         report = ratio_sweep(trio, grid, analytic_w=lambda x: -1.0 / (x * x))

@@ -26,7 +26,6 @@ from casowron.errors import (
     UnsupportedOperationError,
 )
 from casowron.functions import (
-    BinomExp,
     ExpTrig,
     FunctionFamily,
     LinearCombo,
@@ -68,7 +67,7 @@ def test_wronskian_matrix_structure_for_powers():
 
 
 def test_wronskian_matrix_rejects_tabulated():
-    fam = FunctionFamily((Monomial(0).combo(), natural_log()))
+    fam = FunctionFamily((Monomial(0), natural_log()))
     with pytest.raises(UnsupportedOperationError):
         wronskian_matrix(fam, 2.0)
 
@@ -92,33 +91,46 @@ def test_wronskian_matrix_exact_against_polynomial_derivatives():
                 current = [p.derivative() for p in current]
 
 
-def _exp_poly_parts(member) -> list:
-    """(weight, p, mu) with member(x) = sum of weight * p(x) * exp(mu x)."""
-    if isinstance(member, BinomExp):
-        return [(1, binomial_poly(member.k), cmath.log(member.a))]
-    xk = Polynomial.monomial(member.k)
-    if isinstance(member, ExpTrig):
-        up = member.m + 1j * member.omega
-        down = member.m - 1j * member.omega
-        if member.phase == "cos":
-            return [(0.5, xk, up), (0.5, xk, down)]
-        return [(-0.5j, xk, up), (0.5j, xk, down)]
-    odd = 1 if member.phase == "cosh" else -1
-    return [(0.5, xk, member.m), (0.5 * odd, xk, -member.m)]
+#: builder and parameters of each float family the Leibniz oracle checks
+LEIBNIZ_FAMILIES = {
+    "binom-exp": (binom_exp_family, 4, 1.7),
+    "exp-trig": (exp_trig_family, 2, 0.3, 1.1),
+    "hyperbolic": (hyperbolic_family, 2, 0.8),
+}
 
 
-@pytest.mark.parametrize(
-    "fam",
-    [binom_exp_family(4, 1.7), exp_trig_family(2, 0.3, 1.1), hyperbolic_family(2, 0.8)],
-    ids=["binom-exp", "exp-trig", "hyperbolic"],
-)
-def test_wronskian_matrix_float_against_leibniz_derivatives(fam):
+def _exp_poly_parts(kind: str, n: int, *params) -> list:
+    """Per member, (weight, p, mu) with member(x) = sum of weight * p(x) * exp(mu x)."""
+    if kind == "binom-exp":
+        (a,) = params
+        return [[(1, binomial_poly(k), cmath.log(a))] for k in range(n + 1)]
+    parts = []
+    for k in range(n + 1):
+        xk = Polynomial.monomial(k)
+        if kind == "exp-trig":
+            m, omega = params
+            up, down = complex(m, omega), complex(m, -omega)
+            parts.append([(0.5, xk, up), (0.5, xk, down)])  # cos
+            parts.append([(-0.5j, xk, up), (0.5j, xk, down)])  # sin
+        else:
+            (m,) = params
+            parts.append([(0.5, xk, m), (0.5, xk, -m)])  # cosh
+            parts.append([(0.5, xk, m), (-0.5, xk, -m)])  # sinh
+    return parts
+
+
+@pytest.mark.parametrize("kind", list(LEIBNIZ_FAMILIES))
+def test_wronskian_matrix_float_against_leibniz_derivatives(kind):
+    build, n, *params = LEIBNIZ_FAMILIES[kind]
+    fam = build(n, *params)
+    parts = _exp_poly_parts(kind, n, *params)
+    assert len(parts) == fam.size
     for x in (-0.7, 0.45, 1.3):
         rows = wronskian_matrix(fam, x).rows()
         for i, row in enumerate(rows):
             want = [
-                sum(w * exp_poly_derivative(p, mu, i, x) for w, p, mu in _exp_poly_parts(m))
-                for m in fam.members
+                sum(w * exp_poly_derivative(p, mu, i, x) for w, p, mu in member_parts)
+                for member_parts in parts
             ]
             scale = max(abs(v) for v in want)
             for got, ref in zip(row, want):
@@ -319,7 +331,7 @@ def test_ratio_sweep_all_degenerate_raises():
 
 
 def test_ratio_sweep_analytic_wronskian_for_tabulated():
-    fam = FunctionFamily((Monomial(0).combo(), Monomial(1).combo(), natural_log()))
+    fam = FunctionFamily((Monomial(0), Monomial(1), natural_log()))
     report = ratio_sweep(
         fam, [float(t) for t in range(1, 8)],
         analytic_w=lambda x: -1.0 / (x * x),
@@ -337,7 +349,7 @@ def test_ratio_sweep_empty_grid_rejected():
 @settings(max_examples=25)
 def test_symbolic_oracle_agreement_on_power_subsets(ks):
     # W and C of monomial lists, against the naive symbolic oracle
-    polys = [Monomial(abs(k) % 5).combo() for k in ks]
+    polys = [Monomial(abs(k) % 5) for k in ks]
     from casowron.functions import member_polynomial
 
     plain = [member_polynomial(m) for m in polys]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,8 @@ import pytest
 
 import casowron
 from casowron.cli import fmt_scalar, main
+from casowron.polynomial import Polynomial
+from casowron.scalars import superfactorial
 from casowron.theory import DEFAULT_SEED
 
 POWERS = "field exact\nmember monomial k=0\nmember monomial k=1\nmember monomial k=2\n"
@@ -92,6 +95,42 @@ def test_verify_powers_reports_ok(capsys):
     assert "expected: 288" in out
     assert "ok: true" in out
     assert f"seed: {DEFAULT_SEED}" in out
+
+
+def test_verify_powers_prints_values_past_the_int_digit_limit(capsys):
+    # superfactorial(82) has more than 4,300 digits, past str(int)'s limit;
+    # seed 12 draws x = 0, which keeps the exact determinants small
+    code, out, err = run_main(capsys, ["verify-powers", "82", "--trials", "1", "--seed", "12"])
+    assert code == 0, err
+    want = superfactorial(82)
+    assert want > 10**4300
+    assert f"expected: {Decimal(want)}\n" in out
+    assert "ok: true" in out
+
+
+def test_fmt_scalar_huge_rationals():
+    big = 7**6000
+    assert fmt_scalar(big) == str(Decimal(big))
+    assert fmt_scalar(Fraction(-big, 3)) == f"-{Decimal(big)}/3"
+    assert fmt_scalar(Polynomial((1, Fraction(big, 5)))) == f"{Decimal(big)}/5*x + 1"
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_powers_needs_a_trial(capsys, trials):
+    code, out, err = run_main(capsys, ["verify-powers", "3", "--trials", trials])
+    assert code == 1
+    assert out == ""
+    assert "need trials >= 1" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_verify_basis_needs_a_trial(capsys, tmp_path, trials):
+    path = tmp_path / "matrix.txt"
+    path.write_text("2 0\n0 3\n")
+    code, out, err = run_main(capsys, ["verify-basis", str(path), "--trials", trials])
+    assert code == 1
+    assert out == ""
+    assert "need trials >= 1" in err
 
 
 def test_verify_basis_from_file(capsys, tmp_path):
@@ -245,6 +284,18 @@ def test_bad_manifest_line_is_line_precise(capsys, manifest):
     assert code == 1
     assert "line 2" in err
     assert "mystery" in err
+
+
+@pytest.mark.parametrize("coeffs", [5, None, {"c0": 1}, True])
+def test_json_manifest_coeffs_must_be_a_list(capsys, manifest, coeffs):
+    path = manifest(json.dumps({"members": [{"kind": "poly", "coeffs": coeffs}]}), "m.json")
+    code, out, err = run_main(capsys, ["classify", path])
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "casowron: manifest error: members[0]: coeffs must be a list or a "
+        "comma-separated string\n"
+    )
 
 
 def test_unknown_subcommand_exits_one(capsys):

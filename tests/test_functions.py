@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from casowron.errors import ArgumentError, DomainError, UnsupportedOperationError
@@ -14,7 +15,6 @@ from casowron.functions import (
     LinearCombo,
     Monomial,
     PolyFunction,
-    as_combo,
     binom_exp_family,
     derivative_chain,
     exp_trig_family,
@@ -43,20 +43,33 @@ ANALYTIC_MEMBERS = [
     Hyperbolic(1, 0.7, "sinh"),
     Hyperbolic(2, 1.0, "cosh"),
 ]
+# the same members as closed expressions in mpmath, in the same order
+CLOSED_FORMS = [
+    lambda x: mpmath.mpf(1),
+    lambda x: x**3,
+    lambda x: 1 - 2 * x**2 / 3,
+    lambda x: mpmath.binomial(x, 2) * mpmath.mpf(2.0) ** x,
+    lambda x: mpmath.binomial(x, 1) * mpmath.mpf(0.5) ** x,
+    lambda x: x * mpmath.exp(2.0 * x),
+    lambda x: x * mpmath.exp(0.4 * x) * mpmath.cos(1.3 * x),
+    lambda x: mpmath.sin(x),
+    lambda x: x * mpmath.sinh(0.7 * x),
+    lambda x: x**2 * mpmath.cosh(x),
+]
 
 POINTS = [0.3, 1.7, -0.9]
 
 
-def complex_step_derivative(member, x, h=1e-100):
-    # machine-precision derivative oracle; valid for real-valued members only
-    return member.evaluate(complex(x, h)).imag / h
-
-
-@pytest.mark.parametrize("member", ANALYTIC_MEMBERS, ids=str)
+@pytest.mark.parametrize(
+    "member, closed", list(zip(ANALYTIC_MEMBERS, CLOSED_FORMS)),
+    ids=[str(m) for m in ANALYTIC_MEMBERS],
+)
 @pytest.mark.parametrize("x", POINTS)
-def test_derivative_matches_complex_step(member, x):
+def test_derivative_matches_complex_step(member, closed, x):
+    # oracle: mpmath's numerical derivative of the closed form at 50 digits
+    with mpmath.workdps(50):
+        want = float(mpmath.diff(closed, mpmath.mpf(x)))
     got = member.derivative().evaluate(x)
-    want = complex_step_derivative(member, x)
     assert got.real == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -101,16 +114,17 @@ def test_binom_exp_evaluate():
 
 
 def test_binom_exp_derivative_matches_binomial_basis():
-    # the closed form against re-expanding d/dx binom(x,k) in the binomial basis
+    # D(binom(x,k) a^x) = (ln a * binom(x,k) + sum_j c_j binom(x,j)) a^x, where
+    # c holds the binomial-basis coefficients of d/dx binom(x,k)
     a = 1.7
     for k in range(21):
         basis = to_binomial_basis(binomial_poly(k).derivative())
-        want = ((cmath.log(a), BinomExp(k, a)),) + tuple(
-            (c, BinomExp(j, a)) for j, c in enumerate(basis) if c != 0
-        )
-        got = BinomExp(k, a).derivative().terms
-        assert got == want
-        assert all(type(c) is Fraction for c, _ in got[1:])
+        for x in POINTS:
+            inner = cmath.log(a) * binomial_value(x, k)
+            inner += sum(float(c) * binomial_value(x, j) for j, c in enumerate(basis))
+            scale = sum(abs(float(c) * binomial_value(x, j)) for j, c in enumerate(basis))
+            got = BinomExp(k, a).derivative().evaluate(x)
+            assert abs(got - inner * a**x) <= 1e-12 * max(scale, 1.0) * a**x
 
 
 def test_trig_and_hyperbolic_phase_validation():
@@ -134,15 +148,43 @@ def test_tabulated_ln():
 
 def test_linear_combo_merges_and_drops_zeros():
     a, b = Monomial(1), Monomial(2)
-    combo = a.combo().scaled(2).plus(b.combo()).plus(a.combo().scaled(-2))
-    assert combo.terms == ((1, b),)
+    combo = LinearCombo(a.scaled(2).terms + b.terms + a.scaled(-2).terms)
+    assert combo.terms == ((0, (0, 0, 1)),)
+    assert combo == b
     assert combo.evaluate(3.0) == pytest.approx(9.0)
+    # equal exponents merge, trailing zeros go, a vanishing polynomial drops
+    mixed = LinearCombo(((1.5, (2.0, 1.0)), (2j, (0.0,)), (1.5, (0.0, -1.0))))
+    assert mixed.terms == ((1.5, (2.0,)),)
 
 
-def test_as_combo_passthrough():
-    c = as_combo(Monomial(1))
-    assert isinstance(c, LinearCombo)
-    assert as_combo(c) is c
+@pytest.mark.parametrize("x", POINTS + [complex(2.5, 0.0), 0])
+def test_conjugate_symmetric_members_are_real_on_reals(x):
+    # exp(m +- i omega) pairs with real m and omega, and cosh(i theta x),
+    # are real-valued: at real x every entry of their derivative towers
+    # must come back with an imaginary part of exactly zero
+    members = list(exp_trig_family(2, 0.3, 1.1).members)
+    members += [ExpTrig(1, -0.5, 2.0, "sin"), Hyperbolic(1, 1.5j, "cosh")]
+    # conjugate partners need not be adjacent terms; summed in this order
+    # the imaginary parts leave rounding behind
+    members.append(LinearCombo((
+        (0.3 + 1j, (1.0, 0.25)), (0.1 + 2.5j, (0.3,)),
+        (0.3 - 1j, (1.0, 0.25)), (0.1 - 2.5j, (0.3,)),
+    )))
+    for member in members:
+        for d in derivative_chain(member, 6):
+            assert complex(d.evaluate(x)).imag == 0
+    # a genuinely complex member keeps its imaginary part
+    assert complex(Hyperbolic(0, 1.5j, "sinh").evaluate(1.0)).imag != 0
+
+
+def test_vanishing_float_member_stays_out_of_the_exact_field():
+    zero = ExpTrig(0, 0.0, 0.0, "sin")
+    assert zero.terms == ()
+    assert zero.evaluate(0.7) == 0
+    assert not zero.exact_compatible
+    with pytest.raises(ArgumentError):
+        FunctionFamily((zero,), EXACT)
+    assert PolyFunction(Polynomial(())).exact_compatible
 
 
 def test_family_validation():
@@ -188,7 +230,7 @@ def test_exp_trig_family_size_and_order():
 
 def test_member_polynomial():
     assert member_polynomial(Monomial(2)) == Polynomial.monomial(2)
-    combo = Monomial(1).combo().scaled(3)
+    combo = Monomial(1).scaled(3)
     assert member_polynomial(combo) == Polynomial((0, 3))
     with pytest.raises(UnsupportedOperationError):
         member_polynomial(ExpPoly(0, 1.0))

@@ -9,8 +9,10 @@ from casowron.errors import ArgumentError, UnsupportedOperationError
 from casowron.functions import (
     ExpPoly,
     FunctionFamily,
+    LinearCombo,
     Monomial,
     PolyFunction,
+    exp_trig_family,
     gen_exp_poly_family,
     natural_log,
     power_family,
@@ -202,8 +204,25 @@ def test_shift_invariant_but_not_d_invariant():
     assert report.d_invariant is False
 
 
+def test_invariance_derives_each_member_once(monkeypatch):
+    # one derivative per member for the closure test, whatever the number
+    # of sample points, plus the size * (size - 1) of the sweep's tower
+    calls = []
+    original = LinearCombo.derivative
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(LinearCombo, "derivative", counted)
+    fam = exp_trig_family(2, 0.3, 1.1)
+    report = check_invariance(fam, seed=9)
+    assert report.d_invariant and report.sweep is not None
+    assert len(calls) == fam.size + fam.size * (fam.size - 1)
+
+
 def test_invariance_rejects_tabulated_members():
-    fam = FunctionFamily((Monomial(0).combo(), natural_log()))
+    fam = FunctionFamily((Monomial(0), natural_log()))
     with pytest.raises(UnsupportedOperationError):
         check_invariance(fam)
 
