@@ -29,6 +29,7 @@ import os
 import sys
 import time
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 from .casowronsk import (
@@ -723,11 +724,9 @@ def _read_samples(path: str) -> list:
 
 def _cmd_solve(args, rep: Report) -> int:
     samples = _read_samples(args.samples)
-    if len(samples) % args.q != 0:
-        raise ArgumentError("sample count must be a multiple of q")
-    steps = len(samples) // args.q
-    horizon = args.horizon if args.horizon is not None else max(args.m, steps)
-    problem = SolverProblem(args.lam, args.m, x0=args.x0, q=args.q, horizon=horizon)
+    problem = SolverProblem(args.lam, args.m, x0=args.x0, q=args.q, horizon=args.horizon)
+    if args.horizon is None:
+        problem = replace(problem, horizon=max(problem.m, len(samples) // problem.q))
     profiles = recover_profiles(problem, samples, parity_tol=args.parity_tol)
     solution = synthesize(problem, profiles)
     rep.add("command", "solve")
@@ -873,7 +872,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--parity-tol", type=float, default=1e-6)
+    p.add_argument("--parity-tol", type=float, default=1e-6,
+                   help="largest relative (E - lambda)^m residual accepted")
 
     p = cmd("fundamental", _cmd_fundamental,
             "check the Casoratian stays nonzero on a grid")

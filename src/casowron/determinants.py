@@ -221,6 +221,7 @@ def rank_exact(a_rows) -> int:
     return len(pivots)
 
 
+# No caller in the package; bench/tracing.py looks it up by name to trace it.
 def solve_float(a_rows, b) -> list:
     """Solve a square complex system with partial pivoting."""
     a = [[ensure_finite(v) for v in row] for row in _rows_of(a_rows)]

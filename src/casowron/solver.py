@@ -1,34 +1,34 @@
 """Solve (E - lambda)^m y = 0 by recovering 1-periodic coefficient profiles.
 
-Every solution has the shape y(x) = (mu_1(x) + mu_2(x) x + ... +
-mu_m(x) x^(m-1)) |lambda|^x where each mu_i repeats with period one for
-lambda > 0 and negates across a unit step for lambda < 0.  On a grid of
-mesh 1/q the profiles are pinned down residue class by residue class: the
-samples y(x), y(x+1), ..., y(x+m-1) feed a moment system whose matrix has
-the closed-form determinant |lambda|^(mx) lambda^(m(m-1)/2) prod_{k<m} k!.
-
-Folding the sign of lambda into the row scales (rather than keeping plain
-|lambda| powers) is what makes the solved coefficients equal mu_i(x) with
-the right parity and makes the determinant match that closed form for
-negative lambda as well.
+Every solution is y(x) = (mu_1(x) + mu_2(x) x + ... + mu_m(x) x^(m-1))
+|lambda|^x with each mu_i of period one for lambda > 0 and negating across
+a unit step for lambda < 0.  On a grid of mesh 1/q, each residue class
+scaled to v_r = y(x+r) / (|lambda|^x lambda^r) is a polynomial of degree
+< m in r (the sign of lambda in lambda^r gives the profiles their parity).
+One forward-difference table per class, the Delta-form of the Casoratian,
+does all the work: its m-th differences are the equation's residual in the
+same scale, and its first m are the coefficients of v in the binomial basis
+C(r, k), which one change of basis turns into the mu_i(x) of the powers
+(x + r)^i.  That step amplifies rounding more as x and m grow, and the
+solver warns when the amplified rounding could exceed its tolerance.
 """
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 
-from .casowronsk import casoratian_matrix, row_norm_product
-from .determinants import ScalarMatrix, det_float, solve_float
-from .errors import ArgumentError, InconsistentInputError, NumericError
+from .casowronsk import CONSTANCY_TOL, casoratian_matrix, row_norm_product
+from .errors import ArgumentError, InconsistentInputError, NumericalWarning, NumericError
 from .functions import FunctionFamily
-from .scalars import EXACT, FLOAT, superfactorial
+from .scalars import EXACT
 
-#: Maximum relative disagreement tolerated between windows when verifying
+#: Largest relative residual of (E - lambda)^m y tolerated when verifying
 #: that input samples really do solve the equation.
 PARITY_TOL = 1e-6
-#: Relative tolerance for the determinant self-check against the closed form.
-DET_CHECK_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -92,48 +92,36 @@ class SolverProblem:
         return [self.x0 + n / self.q for n in range(self.horizon * self.q)]
 
 
-def build_M(lam: float, m: int, x: float) -> ScalarMatrix:
-    """Moment matrix with entry (i, j) = |lam|^x lam^(i-1) (x+i-1)^(j-1)."""
-    lam = float(lam)
-    if lam == 0:
-        raise ArgumentError("lambda must be nonzero")
-    if m < 1:
-        raise ArgumentError("order m must be at least 1")
-    a = abs(lam) ** x
-    rows = [
-        [a * lam**i * (x + i) ** j for j in range(m)]
-        for i in range(m)
-    ]
-    return ScalarMatrix.from_rows(rows, FLOAT)
+def _difference_tables(problem: SolverProblem, values) -> tuple:
+    """Delta^k v_0 (k < m) per residue class, the largest |v| and the residual.
 
-
-def predicted_det(lam: float, m: int, x: float) -> float:
-    """Closed form |lam|^(mx) lam^(m(m-1)/2) prod_{k=0}^{m-1} k!."""
-    lam = float(lam)
-    return abs(lam) ** (m * x) * lam ** (m * (m - 1) // 2) * superfactorial(m - 1)
-
-
-def _check_det(lam: float, m: int, x: float) -> None:
-    got = det_float(build_M(lam, m, x))
-    want = predicted_det(lam, m, x)
-    if abs(got - want) > DET_CHECK_TOL * abs(want):
-        raise NumericError(
-            f"moment determinant {got!r} strayed from the closed form "
-            f"{want!r}; the window at x = {x} is numerically unusable"
-        )
-
-
-def _solve_window(lam: float, m: int, x: float, window_samples) -> list:
-    """Coefficients mu_i(x) from the m samples y(x), y(x+1), ..., y(x+m-1).
-
-    Rows are rescaled by |lam|^(-x) lam^(-r) before solving, leaving a pure
-    moment system in the nodes x, x+1, ..., x+m-1.
+    The residual is the largest |Delta^m v_r| divided by the largest |v|,
+    both over every class: a class holding only rounding noise would fail
+    against a scale of its own.
     """
-    abs_l = abs(lam)
-    rows = [[(x + r) ** j for j in range(m)] for r in range(m)]
-    rhs = [window_samples[r] / (abs_l**x * lam**r) for r in range(m)]
-    sol = solve_float(rows, rhs)
-    return [v.real for v in sol]
+    lam, m, q = problem.lam, problem.m, problem.q
+    heads, size, worst = [], 0.0, 0.0
+    for t in range(q):
+        scale = abs(lam) ** (problem.x0 + t / q)
+        row = [y / (scale * lam**r) for r, y in enumerate(values[t::q])]
+        size = max(size, max(map(abs, row)))
+        head = []
+        for _ in range(m):
+            head.append(row[0])
+            row = [b - a for a, b in zip(row, row[1:])]
+        heads.append(head)
+        worst = max(worst, max(map(abs, row), default=0.0))
+    return heads, size, worst / size if size else 0.0
+
+
+def _binomial_to_power(x: float, m: int) -> list:
+    """Rows i of T with C(u - x, k) = sum_i T[i][k] u^i for k < m."""
+    cols, poly = [], [1.0]
+    for k in range(m):
+        cols.append(poly + [0.0] * (m - len(poly)))
+        shifted = [0.0] + poly
+        poly = [(a - (x + k) * b) / (k + 1) for a, b in zip(shifted, poly + [0.0])]
+    return [list(row) for row in zip(*cols)]
 
 
 def recover_profiles(problem: SolverProblem, samples,
@@ -141,48 +129,51 @@ def recover_profiles(problem: SolverProblem, samples,
     """Recover the m coefficient profiles from solution samples.
 
     ``samples`` holds y on the grid x0 + n/q, n = 0..K*q-1, with K >= m.
-    Windows shifted by whole steps re-derive the same coefficients up to
-    the parity sign; any disagreement beyond ``parity_tol`` (relative)
-    means the samples do not solve the equation and is an error.
+    A relative residual of (E - lambda)^m y above ``parity_tol`` means the
+    samples do not solve the equation and is an error.  Profiles whose
+    change of basis could amplify rounding past ``parity_tol`` come with
+    a NumericalWarning.
     """
     vals = [float(v) for v in samples]
+    for n, v in enumerate(vals):
+        if not math.isfinite(v):
+            raise NumericError(f"sample {n} is {v!r}; samples must be finite")
     q, m = problem.q, problem.m
     if len(vals) % q != 0:
         raise ArgumentError("sample count must be a multiple of q")
-    steps = len(vals) // q
-    if steps < m:
+    if len(vals) // q < m:
         raise ArgumentError(f"need at least m = {m} unit steps of samples")
-    lam = problem.lam
-    sign = 1.0 if lam > 0 else -1.0
-    _check_det(lam, m, problem.x0)
-    per_residue = []
-    for t in range(q):
-        x = problem.x0 + t / q
-        base = _solve_window(lam, m, x, [vals[r * q + t] for r in range(m)])
-        scale = max(1.0, max(abs(v) for v in base))
-        for k in range(1, min(m, steps - m) + 1):
-            shifted = _solve_window(
-                lam, m, x + k, [vals[(k + r) * q + t] for r in range(m)]
-            )
-            expect = [v * sign**k for v in base]
-            worst = max(abs(a - b) for a, b in zip(shifted, expect))
-            if worst > parity_tol * scale:
-                raise InconsistentInputError(
-                    f"window at offset {k} disagrees with the base window by "
-                    f"{worst:.3e} (residue {t}); samples do not solve the "
-                    "equation"
-                )
-        per_residue.append(base)
+    heads, size, residual = _difference_tables(problem, vals)
+    if residual > parity_tol:
+        raise InconsistentInputError(
+            f"relative residual {residual:.3e} of (E - lambda)^m y exceeds "
+            f"{parity_tol:g}; samples do not solve the equation"
+        )
+    # Columns of D, which maps v_0..v_{m-1} to their differences; T D is
+    # the whole recovery, and its norm is how much it amplifies rounding.
+    diff_cols = [[(-1) ** (k - r) * comb(k, r) for k in range(m)] for r in range(m)]
+    per_residue, gain = [], 0.0
+    for t, head in enumerate(heads):
+        basis = _binomial_to_power(problem.x0 + t / q, m)
+        per_residue.append([sum(map(mul, row, head)) for row in basis])
+        gain = max(gain, max(
+            sum(abs(sum(map(mul, row, col))) for col in diff_cols) for row in basis
+        ))
+    top = max(1.0, max(abs(c) for coeffs in per_residue for c in coeffs))
+    error = gain * size / top * sys.float_info.epsilon
+    if error > parity_tol:
+        warnings.warn(f"profiles are poorly conditioned: rounding in the samples may "
+                      f"reach {error:.1e} relative after the change of basis",
+                      NumericalWarning)
     return [
-        PeriodicProfile(tuple(per_residue[t][i] for t in range(q)),
-                        problem.parity)
+        PeriodicProfile(tuple(coeffs[i] for coeffs in per_residue), problem.parity)
         for i in range(m)
     ]
 
 
 @dataclass(frozen=True)
 class SolverSolution:
-    """A synthesized solution with its residual under the difference operator."""
+    """A synthesized solution with its relative residual under (E - lambda)^m."""
 
     problem: SolverProblem
     profiles: tuple
@@ -192,7 +183,7 @@ class SolverSolution:
 
 
 def synthesize(problem: SolverProblem, profiles) -> SolverSolution:
-    """Build y from profiles and measure the worst (E - lambda)^m residual."""
+    """Build y from profiles and measure its relative (E - lambda)^m residual."""
     profiles = tuple(profiles)
     if len(profiles) != problem.m:
         raise ArgumentError(f"need exactly m = {problem.m} profiles")
@@ -203,22 +194,15 @@ def synthesize(problem: SolverProblem, profiles) -> SolverSolution:
             raise ArgumentError(
                 f"profile parity {p.parity!r} contradicts lambda = {problem.lam}"
             )
-    lam, q = problem.lam, problem.q
-    abs_l = abs(lam)
+    q, abs_l = problem.q, abs(problem.lam)
     xs = problem.grid()
     ys = []
     for n, x in enumerate(xs):
         t, k = n % q, n // q
         poly = sum(p.value(k, t) * x**i for i, p in enumerate(profiles))
         ys.append(abs_l**x * poly)
-    worst = 0.0
-    m = problem.m
-    for n in range(len(ys) - m * q):
-        acc = 0.0
-        for r in range(m + 1):
-            acc += comb(m, r) * (-lam) ** (m - r) * ys[n + r * q]
-        worst = max(worst, abs(acc))
-    return SolverSolution(problem, profiles, tuple(xs), tuple(ys), worst)
+    residual = _difference_tables(problem, ys)[2]
+    return SolverSolution(problem, profiles, tuple(xs), tuple(ys), residual)
 
 
 @dataclass(frozen=True)
@@ -237,16 +221,17 @@ def is_fundamental_set(family: FunctionFamily, grid,
                        floor_scale: float = 1e-12) -> FundamentalCheck:
     """Test that the Casoratian is nonzero at every grid point.
 
-    The witness is the point with the smallest Casoratian magnitude.  For
-    float families "nonzero" means above ``floor_scale`` times the
-    row-norm product of the matrix at that point.
+    The witness is the first point with the smallest Casoratian magnitude;
+    for float families "smallest" means within ``CONSTANCY_TOL`` relative
+    of the minimum, so that rounding noise on a constant |C| does not pick
+    it, and "nonzero" means above ``floor_scale`` times the row-norm
+    product of the matrix at that point.
     """
     grid = list(grid)
     if not grid:
         raise ArgumentError("need a non-empty grid")
     ok = True
-    min_abs = math.inf
-    witness = grid[0]
+    mags = []
     for x in grid:
         matrix = casoratian_matrix(family, x)
         c = matrix.det()
@@ -257,8 +242,9 @@ def is_fundamental_set(family: FunctionFamily, grid,
             floor = floor_scale * row_norm_product(matrix)
             mag = abs(c)
             good = mag > floor
-        if mag < min_abs:
-            min_abs = mag
-            witness = x
+        mags.append(mag)
         ok = ok and good
+    min_abs = min(mags)
+    slack = 0.0 if family.field == EXACT else CONSTANCY_TOL * min_abs
+    witness = next(x for x, mag in zip(grid, mags) if mag <= min_abs + slack)
     return FundamentalCheck(ok, min_abs, witness)

@@ -7,7 +7,7 @@ enough to audit by eye, and sharing no code with the kernels under test.
 import cmath
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial, prod
 
 from casowron.polynomial import Polynomial
 
@@ -100,6 +100,17 @@ def rank_by_minors(rows) -> int:
             return rank
         rank = size
     return rank
+
+
+def build_M(lam: float, m: int, x: float) -> list:
+    """Moment rows with entry (i, j) = |lam|^x lam^(i-1) (x+i-1)^(j-1)."""
+    a = abs(lam) ** x
+    return [[a * lam**i * (x + i) ** j for j in range(m)] for i in range(m)]
+
+
+def predicted_det(lam: float, m: int, x: float) -> float:
+    """Closed form |lam|^(mx) lam^(m(m-1)/2) prod_{k=0}^{m-1} k! of det build_M."""
+    return abs(lam) ** (m * x) * lam ** (m * (m - 1) // 2) * prod(map(factorial, range(m)))
 
 
 def rand_fraction(rng, lo=-20, hi=20, max_den=10) -> Fraction:

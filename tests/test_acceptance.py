@@ -43,8 +43,6 @@ from casowron.scalars import EXACT, binomial_value, superfactorial
 from casowron.solver import (
     PeriodicProfile,
     SolverProblem,
-    build_M,
-    predicted_det,
     recover_profiles,
     synthesize,
 )
@@ -54,7 +52,14 @@ from casowron.theory import (
     verify_binom_matrix_lemmas,
 )
 
-from _oracles import cofactor_det, poly_casoratian, poly_wronskian, rank_by_minors
+from _oracles import (
+    build_M,
+    cofactor_det,
+    poly_casoratian,
+    poly_wronskian,
+    predicted_det,
+    rank_by_minors,
+)
 
 from casowron.determinants import det_float
 

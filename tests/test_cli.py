@@ -253,6 +253,16 @@ def test_fundamental_command(capsys, manifest):
     assert "min-abs-casoratian: 2" in out
 
 
+def test_fundamental_witness_is_first_point_of_constant_casoratian(capsys, manifest):
+    # |C| of {e^{ix}, e^{-ix}} is 2 sin 1 at every x; rounding noise must
+    # not move the witness off the first grid point
+    pair = "member exppoly k=0 m=1j\nmember exppoly k=0 m=-1j\n"
+    code, out, _ = run_main(capsys, ["fundamental", manifest(pair)])
+    assert code == 0
+    assert "fundamental: true" in out
+    assert "witness-x: 0\n" in out
+
+
 def test_solve_round_trip(capsys, tmp_path):
     samples = tmp_path / "samples.txt"
     samples.write_text(
@@ -348,6 +358,29 @@ def test_solve_sample_count_exits_one(capsys, tmp_path):
         capsys, ["solve", str(samples), "--lam", "2", "--m", "2", "--q", "2"]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("q", ["0", "-3"])
+def test_solve_mesh_count_below_one_exits_one(capsys, tmp_path, q):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1\n2\n4\n")
+    code, out, err = run_main(
+        capsys, ["solve", str(samples), "--lam", "2", "--m", "1", "--q", q]
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "casowron: argument error: mesh count q must be at least 1\n"
+
+
+def test_solve_nonfinite_sample_exits_two_naming_it(capsys, tmp_path):
+    samples = tmp_path / "samples.txt"
+    samples.write_text("1\nnan\n4\n")
+    code, out, err = run_main(
+        capsys, ["solve", str(samples), "--lam", "2", "--m", "1"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "casowron: sample 1 is nan; samples must be finite\n"
 
 
 def test_unattainable_min_order_exits_three(capsys, manifest):
